@@ -29,6 +29,12 @@ Rules (scanned over src/*.h, src/*.cc):
                    inventory row must still be registered somewhere in src/
                    — so the table can neither lag the code nor outlive it.
                    Dynamic names use a <k> placeholder in the table.
+                   Field tables: a name stringized from an X-macro
+                   parameter ("query." #name) registers "<prefix><row>"
+                   for every row X(<row>, ...) of the field table
+                   (`#define <TABLE>(X)`) that the file expands next, and
+                   each generated name is checked both ways like a
+                   literal; a missing row is reported at the row.
 
   dropped-status   (void)-casting a call to a function whose declared return
                    type is Status or Result<T> silently swallows an error
@@ -61,7 +67,10 @@ RAW_SYNC_RE = re.compile(
 MUTEX_DECL_RE = re.compile(r"^\s*(?:mutable\s+)?Mutex\s+(\w+)\s*;", re.M)
 GETENV_RE = re.compile(r"\bgetenv\s*\(")
 METRIC_RE = re.compile(
-    r"\b(counter|gauge|histogram)\s*\(\s*\"([^\"]*)\"\s*([+)]?)")
+    r"\b(counter|gauge|histogram)\s*\(\s*\"([^\"]*)\"\s*([+)#]?)")
+FIELD_TABLE_RE = re.compile(r"^\s*#\s*define\s+(\w+)\(X\)((?:.*\\\n)*.*)",
+                            re.M)
+FIELD_ROW_RE = re.compile(r"\bX\(\s*(\w+)")
 INVENTORY_ROW_RE = re.compile(
     r"^\|\s*`([^`]+)`\s*\|\s*(counter|gauge|histogram)\s*\|", re.M)
 INVENTORY_BEGIN = "<!-- metric-inventory:begin -->"
@@ -105,7 +114,54 @@ def parse_metric_inventory(path):
     return inventory
 
 
-def check_file(path, text, status_fns, findings, inventory=None, used=None):
+def field_tables(paths):
+    """X-macro field tables: table -> [(row, path, lineno)]."""
+    tables = {}
+    for path in paths:
+        text = path.read_text()
+        for m in FIELD_TABLE_RE.finditer(text):
+            rows = tables.setdefault(m.group(1), [])
+            for r in FIELD_ROW_RE.finditer(text, m.start(2), m.end(2)):
+                rows.append((r.group(1), path,
+                             text[:r.start()].count("\n") + 1))
+    return tables
+
+
+def expanded_table(lines, lineno, tables):
+    """The first field table expanded at or after line `lineno`."""
+    for line in lines[lineno - 1:]:
+        for m in re.finditer(r"\b(\w+)\(\s*\w+\s*\)", line):
+            if m.group(1) in tables:
+                return m.group(1)
+    return None
+
+
+def check_metric(kind, name, is_prefix, where, findings, inventory, used):
+    rel, lineno = where
+    ok = re.fullmatch(
+        r"(?:%s)\.[a-z0-9_.]+" % "|".join(METRIC_LAYERS), name)
+    if not ok:
+        findings.append((rel, lineno, "metric-name",
+                         f'metric name "{name}" does not follow the '
+                         "DESIGN.md §6 <layer>.<metric> scheme"))
+    if used is not None:
+        used.add((name, is_prefix))
+    if inventory is None:
+        return
+    if is_prefix:
+        listed = any(iname.startswith(name) and ikind == kind
+                     for iname, (ikind, _) in inventory.items())
+    else:
+        listed = (name in inventory and inventory[name][0] == kind)
+    if not listed:
+        findings.append((rel, lineno, "metric-name",
+                         f'{kind} "{name}" is missing from the '
+                         "DESIGN.md §6 metric inventory (or is "
+                         "listed with a different kind)"))
+
+
+def check_file(path, text, status_fns, findings, inventory=None, used=None,
+               tables=None):
     rel = path.relative_to(REPO)
     lines = text.splitlines()
     is_shim = path.name == "thread_annotations.h"
@@ -125,29 +181,25 @@ def check_file(path, text, status_fns, findings, inventory=None, used=None):
         for kind, name, trail in METRIC_RE.findall(line):
             if allowed(line, "metric-name"):
                 continue
+            if trail == "#":
+                # A stringized field name: one exact name per row of the
+                # field table this file expands next, each checked at its
+                # row.
+                table = expanded_table(lines, lineno, tables or {})
+                if table is None:
+                    findings.append((rel, lineno, "metric-name",
+                                     f'"{name}" #field expands no field '
+                                     "table (#define <TABLE>(X)) below it"))
+                    continue
+                for row, row_path, row_lineno in tables[table]:
+                    check_metric(kind, name + row, False,
+                                 (row_path.relative_to(REPO), row_lineno),
+                                 findings, inventory, used)
+                continue
             # A concatenated name ("cache.shard" + ...) is validated as a
             # prefix: the layer and the dotted shape must already be right.
-            is_prefix = trail == "+"
-            ok = re.fullmatch(
-                r"(?:%s)\.[a-z0-9_.]+" % "|".join(METRIC_LAYERS), name)
-            if not ok:
-                findings.append((rel, lineno, "metric-name",
-                                 f'metric name "{name}" does not follow the '
-                                 "DESIGN.md §6 <layer>.<metric> scheme"))
-            if used is not None:
-                used.add((name, is_prefix))
-            if inventory is None:
-                continue
-            if is_prefix:
-                listed = any(iname.startswith(name) and ikind == kind
-                             for iname, (ikind, _) in inventory.items())
-            else:
-                listed = (name in inventory and inventory[name][0] == kind)
-            if not listed:
-                findings.append((rel, lineno, "metric-name",
-                                 f'{kind} "{name}" is missing from the '
-                                 "DESIGN.md §6 metric inventory (or is "
-                                 "listed with a different kind)"))
+            check_metric(kind, name, trail == "+", (rel, lineno), findings,
+                         inventory, used)
         m = VOID_CALL_RE.search(line)
         if m and m.group(1) in status_fns and not allowed(
                 line, "dropped-status"):
@@ -177,9 +229,11 @@ def check_file(path, text, status_fns, findings, inventory=None, used=None):
 def run(root, status_fns, inventory=None):
     findings = []
     used = set()
-    for path in source_files(root):
+    paths = source_files(root)
+    tables = field_tables(paths)
+    for path in paths:
         check_file(path, path.read_text(), status_fns, findings,
-                   inventory=inventory, used=used)
+                   inventory=inventory, used=used, tables=tables)
     if inventory is not None:
         # Reverse direction: every inventory row must still be registered.
         # A dynamic registration ("cache.shard" + ...) covers the rows it
@@ -208,6 +262,8 @@ def main():
             ("bad_getenv.cc", "raw-getenv"),
             ("bad_metric.cc", "metric-name"),
             ("bad_status.cc", "dropped-status"),
+            # A field-table row missing from the inventory.
+            ("bad_table.h", "metric-name"),
             # The stale inventory row below must be flagged in the reverse
             # direction of the two-way metric check.
             ("DESIGN.md", "metric-name"),
@@ -215,6 +271,8 @@ def main():
         fixture_inventory = {
             "cache.fixture_touches": ("counter", 1),
             "cache.fixture_stale": ("gauge", 2),
+            # Registered only through clean.cc's field table.
+            "cache.fixture_generated": ("counter", 3),
         }
         findings = run(FIXTURES, status_fns, inventory=fixture_inventory)
         got = {(str(rel.name), rule) for rel, _, rule, _ in findings}
@@ -222,7 +280,12 @@ def main():
         unexpected = {g for g in got
                       if g not in expected and g[0] != "clean.cc"}
         clean_hits = [f for f in findings if f[0].name == "clean.cc"]
-        ok = not missing and not unexpected and not clean_hits
+        # Exactly the stale row is unregistered: a generated name that the
+        # linter failed to derive would show up here too.
+        stale = {msg.split('"')[1] for rel, _, _, msg in findings
+                 if rel.name == "DESIGN.md"}
+        ok = (not missing and not unexpected and not clean_hits
+              and stale == {"cache.fixture_stale"})
         for rel, lineno, rule, msg in findings:
             print(f"{rel}:{lineno}: [{rule}] {msg}")
         if missing:
@@ -233,6 +296,9 @@ def main():
                   f"{sorted(unexpected)}")
         if clean_hits:
             print("self-test FAILED: clean.cc was flagged")
+        if stale != {"cache.fixture_stale"}:
+            print(f"self-test FAILED: unregistered inventory rows "
+                  f"{sorted(stale)}, expected only cache.fixture_stale")
         print("self-test " + ("OK" if ok else "FAILED"))
         return 0 if ok else 1
 

@@ -252,6 +252,7 @@ void ResourceManager::SweepNow() {
   std::vector<EvictCallback> callbacks;
   {
     MutexLock lock(mu_);
+    while (sweeper_in_callbacks_) sweeper_idle_cv_.Wait(mu_);
     FlushTouchesLocked();
     PruneDeadLruNodesLocked();
     for (int p = 0; p < kNumPools; ++p) {
@@ -459,6 +460,7 @@ void ResourceManager::BackgroundSweeper() {
     }
     if (!callbacks.empty()) {
       // Callbacks run outside mu_ (they may call back into the manager).
+      sweeper_in_callbacks_ = true;
       lock.Unlock();
       for (auto& cb : callbacks) {
         if (cb) cb();
@@ -474,6 +476,8 @@ void ResourceManager::BackgroundSweeper() {
                                          callbacks.size());
       }
       lock.Lock();
+      sweeper_in_callbacks_ = false;
+      sweeper_idle_cv_.NotifyAll();
     }
   }
 }

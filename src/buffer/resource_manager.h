@@ -206,7 +206,9 @@ class ResourceManager {
   void SetPoolLimits(PoolId pool, Limits limits);
 
   // Runs one synchronous proactive sweep (tests use this to avoid timing
-  // dependence on the background thread).
+  // dependence on the background thread). First waits out any eviction
+  // callbacks the background sweeper is running, so every sweeper eviction
+  // chosen before the call has run its callback when this returns.
   void SweepNow();
 
   ResourceManagerStats stats() const;
@@ -315,6 +317,10 @@ class ResourceManager {
   // back-pointer to its manager — see DESIGN.md S21.
   mutable Mutex mu_;
   CondVar sweeper_cv_;
+  // Set while the background sweeper runs eviction callbacks outside mu_;
+  // SweepNow waits on sweeper_idle_cv_ until it clears.
+  bool sweeper_in_callbacks_ GUARDED_BY(mu_) = false;
+  CondVar sweeper_idle_cv_;
   // Per-pool LRU lists; front = least recently used. Membership lags
   // registration (applied at flush) and removal (stale nodes pruned during
   // walks); victim passes always flush first, so every live entry is

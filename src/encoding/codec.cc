@@ -230,25 +230,6 @@ void RleSearchIn(const CodecPageView& v, uint64_t from, uint64_t to,
   });
 }
 
-// --- fallback --------------------------------------------------------------
-// Decode the range into scratch with the codec's native mget and run the
-// predicate scalar. Kept as the production path for any future codec row
-// that lands without a full kernel set; every (codec, kernel) pair of the
-// current cascade is native.
-
-template <typename Pred>
-void FallbackFilter(CodecId id, const CodecPageView& v, uint64_t from,
-                    uint64_t to, RowPos base, std::vector<RowPos>* out,
-                    CodecStats* stats, Pred pred) {
-  std::vector<ValueId> local;
-  std::vector<ValueId>& scratch = stats != nullptr ? stats->scratch : local;
-  if (scratch.size() < to - from) scratch.resize(to - from);
-  CodecKernelTable(id).mget(v, from, to, scratch.data());
-  for (uint64_t i = 0; i < to - from; ++i) {
-    if (pred(scratch[i])) out->push_back(base + static_cast<RowPos>(i));
-  }
-}
-
 }  // namespace
 
 const char* CodecName(CodecId id) {
@@ -463,9 +444,7 @@ Status CodecValidatePage(CodecId id, const CodecPageView& v,
 
 const CodecKernels& CodecKernelTable(CodecId id) {
   // The codec dimension of the (codec × kernel × tier) dispatch: each row's
-  // functions resolve the tier through CodecPageView::kernels. A null entry
-  // would take the decode-into-scratch fallback; every current row is
-  // fully native.
+  // functions resolve the tier through CodecPageView::kernels.
   static const CodecKernels tables[kCodecCount] = {
       {PlainGet, PlainMGet, PlainSearchEq, PlainSearchRange, PlainSearchIn},
       {ForGet, ForMGet, ForSearchEq, ForSearchRange, ForSearchIn},
@@ -481,7 +460,7 @@ ValueId CodecGetValue(CodecId id, const CodecPageView& v, uint64_t idx) {
 void CodecMGet(CodecId id, const CodecPageView& v, uint64_t from, uint64_t to,
                uint32_t* out, CodecStats* stats) {
   if (from >= to) return;
-  if (stats != nullptr) ++stats->native;  // mget is never table-less
+  if (stats != nullptr) ++stats->native;
   CodecKernelTable(id).mget(v, from, to, out);
 }
 
@@ -489,46 +468,24 @@ void CodecSearchEq(CodecId id, const CodecPageView& v, uint64_t from,
                    uint64_t to, ValueId vid, RowPos base,
                    std::vector<RowPos>* out, CodecStats* stats) {
   if (from >= to) return;
-  const CodecKernels& k = CodecKernelTable(id);
-  if (k.search_eq != nullptr) {
-    if (stats != nullptr) ++stats->native;
-    k.search_eq(v, from, to, vid, base, out);
-    return;
-  }
-  if (stats != nullptr) ++stats->fallback;
-  FallbackFilter(id, v, from, to, base, out, stats,
-                 [vid](ValueId x) { return x == vid; });
+  if (stats != nullptr) ++stats->native;
+  CodecKernelTable(id).search_eq(v, from, to, vid, base, out);
 }
 
 void CodecSearchRange(CodecId id, const CodecPageView& v, uint64_t from,
                       uint64_t to, ValueId lo, ValueId hi, RowPos base,
                       std::vector<RowPos>* out, CodecStats* stats) {
   if (from >= to || lo > hi) return;
-  const CodecKernels& k = CodecKernelTable(id);
-  if (k.search_range != nullptr) {
-    if (stats != nullptr) ++stats->native;
-    k.search_range(v, from, to, lo, hi, base, out);
-    return;
-  }
-  if (stats != nullptr) ++stats->fallback;
-  FallbackFilter(id, v, from, to, base, out, stats,
-                 [lo, hi](ValueId x) { return x >= lo && x <= hi; });
+  if (stats != nullptr) ++stats->native;
+  CodecKernelTable(id).search_range(v, from, to, lo, hi, base, out);
 }
 
 void CodecSearchIn(CodecId id, const CodecPageView& v, uint64_t from,
                    uint64_t to, const std::vector<ValueId>& sorted_vids,
                    RowPos base, std::vector<RowPos>* out, CodecStats* stats) {
   if (from >= to || sorted_vids.empty()) return;
-  const CodecKernels& k = CodecKernelTable(id);
-  if (k.search_in != nullptr) {
-    if (stats != nullptr) ++stats->native;
-    k.search_in(v, from, to, sorted_vids, base, out);
-    return;
-  }
-  if (stats != nullptr) ++stats->fallback;
-  FallbackFilter(id, v, from, to, base, out, stats, [&sorted_vids](ValueId x) {
-    return std::binary_search(sorted_vids.begin(), sorted_vids.end(), x);
-  });
+  if (stats != nullptr) ++stats->native;
+  CodecKernelTable(id).search_in(v, from, to, sorted_vids, base, out);
 }
 
 }  // namespace payg

@@ -143,19 +143,15 @@ struct CodecPageView {
 Status CodecValidatePage(CodecId id, const CodecPageView& v,
                          uint32_t payload_size);
 
-// Native/fallback kernel accounting plus the shared decode scratch the
-// fallback path reuses across pages. Owned by the caller (one per
-// iterator); folded into codec.kernel_native / codec.kernel_fallback.
+// Kernel dispatch accounting, owned by the caller (one per iterator);
+// folded into codec.kernel_native.
 struct CodecStats {
   uint64_t native = 0;
-  uint64_t fallback = 0;
-  std::vector<ValueId> scratch;
 };
 
-// One codec's kernel row. A null entry means "no native path": the
-// dispatcher decodes the range into scratch via the codec's mget (which is
-// never null — decode is the primitive every codec must provide) and runs
-// the predicate scalar over the decoded values.
+// One codec's kernel row. Every entry of every row is non-null: each
+// (codec, kernel) pair runs natively on the encoded page (codec_test
+// checks the whole table).
 struct CodecKernels {
   using GetFn = ValueId (*)(const CodecPageView& v, uint64_t idx);
   using MGetFn = void (*)(const CodecPageView& v, uint64_t from, uint64_t to,
@@ -181,10 +177,10 @@ struct CodecKernels {
 // The codec dimension of the dispatch (index by CodecId).
 const CodecKernels& CodecKernelTable(CodecId id);
 
-// Dispatching wrappers: native kernel when the table has one, otherwise
-// decode-into-scratch + scalar predicate. `stats` (optional) counts one
-// native or one fallback per call. Ranges must satisfy from <= to <= v.n;
-// predicates may be arbitrary (normalization happens inside).
+// Dispatching wrappers over CodecKernelTable. `stats` (optional) counts one
+// native dispatch per non-empty call. Ranges must satisfy
+// from <= to <= v.n; predicates may be arbitrary (normalization happens
+// inside).
 ValueId CodecGetValue(CodecId id, const CodecPageView& v, uint64_t idx);
 void CodecMGet(CodecId id, const CodecPageView& v, uint64_t from, uint64_t to,
                uint32_t* out, CodecStats* stats);

@@ -76,18 +76,9 @@ Status QueryExecutor::ForEach(ExecContext* ctx, size_t n,
       prof->wall_us = wall;
       prof->queue_wait_us = queue_wait_us.load(std::memory_order_relaxed);
       prof->scan_us = scan_us.load(std::memory_order_relaxed);
-      prof->page_cold_count = s1.page_cold_count - s0.page_cold_count;
-      prof->page_cold_us = s1.page_cold_us - s0.page_cold_us;
-      prof->page_hit_count = s1.page_hit_count - s0.page_hit_count;
-      prof->page_hit_us = s1.page_hit_us - s0.page_hit_us;
-      prof->bytes_read = s1.bytes_read - s0.bytes_read;
-      prof->rows_scanned = s1.rows_scanned - s0.rows_scanned;
-      prof->index_lookups = s1.index_lookups - s0.index_lookups;
-      prof->vector_scans = s1.vector_scans - s0.vector_scans;
-      prof->codec_native = s1.codec_native - s0.codec_native;
-      prof->codec_fallback = s1.codec_fallback - s0.codec_fallback;
-      prof->prefetch_issued = s1.prefetch_issued - s0.prefetch_issued;
-      prof->prefetch_hits = s1.prefetch_hits - s0.prefetch_hits;
+#define PAYG_X(name, text) prof->name = s1.name - s0.name;
+      PAYG_QUERY_COUNTERS(PAYG_X)
+#undef PAYG_X
       prof->deadline_exceeded = s.IsDeadlineExceeded();
       obs::SlowQueryRing::Global().Observe(*prof);
     }

@@ -27,15 +27,12 @@ std::string QueryProfile::ToText() const {
   std::string out;
   Append(&out,
          "qid=%" PRIu64 " wall_us=%" PRIu64 " queue_us=%" PRIu64
-         " scan_us=%" PRIu64 " parts=%" PRIu64 " cold=%" PRIu64 "/%" PRIu64
-         "us hit=%" PRIu64 "/%" PRIu64 "us bytes=%" PRIu64 " rows=%" PRIu64
-         " index=%" PRIu64 " vscan=%" PRIu64 " codec=%" PRIu64 "n/%" PRIu64
-         "f prefetch=%" PRIu64 "/%" PRIu64 "%s",
-         query_id, wall_us, queue_wait_us, scan_us, partitions,
-         page_cold_count, page_cold_us, page_hit_count, page_hit_us,
-         bytes_read, rows_scanned, index_lookups, vector_scans, codec_native,
-         codec_fallback, prefetch_issued, prefetch_hits,
-         deadline_exceeded ? " DEADLINE" : "");
+         " scan_us=%" PRIu64 " parts=%" PRIu64,
+         query_id, wall_us, queue_wait_us, scan_us, partitions);
+#define PAYG_X(name, text) Append(&out, text, name);
+  PAYG_QUERY_COUNTERS(PAYG_X)
+#undef PAYG_X
+  if (deadline_exceeded) out += " DEADLINE";
   return out;
 }
 
@@ -44,19 +41,14 @@ std::string QueryProfile::ToJson() const {
   Append(&out,
          "{\"query_id\":%" PRIu64 ",\"wall_us\":%" PRIu64
          ",\"queue_wait_us\":%" PRIu64 ",\"scan_us\":%" PRIu64
-         ",\"partitions\":%" PRIu64 ",\"page_cold_count\":%" PRIu64
-         ",\"page_cold_us\":%" PRIu64 ",\"page_hit_count\":%" PRIu64
-         ",\"page_hit_us\":%" PRIu64 ",\"bytes_read\":%" PRIu64
-         ",\"rows_scanned\":%" PRIu64 ",\"index_lookups\":%" PRIu64
-         ",\"vector_scans\":%" PRIu64 ",\"codec_native\":%" PRIu64
-         ",\"codec_fallback\":%" PRIu64 ",\"prefetch_issued\":%" PRIu64
-         ",\"prefetch_hits\":%" PRIu64 ",\"deadline_exceeded\":%s"
-         ",\"partition_us\":[",
-         query_id, wall_us, queue_wait_us, scan_us, partitions,
-         page_cold_count, page_cold_us, page_hit_count, page_hit_us,
-         bytes_read, rows_scanned, index_lookups, vector_scans, codec_native,
-         codec_fallback, prefetch_issued, prefetch_hits,
-         deadline_exceeded ? "true" : "false");
+         ",\"partitions\":%" PRIu64,
+         query_id, wall_us, queue_wait_us, scan_us, partitions);
+#define PAYG_X(name, text) Append(&out, ",\"" #name "\":%" PRIu64, name);
+  PAYG_QUERY_COUNTERS(PAYG_X)
+#undef PAYG_X
+  out += deadline_exceeded ? ",\"deadline_exceeded\":true"
+                           : ",\"deadline_exceeded\":false";
+  out += ",\"partition_us\":[";
   for (size_t i = 0; i < partition_us.size(); ++i) {
     Append(&out, "%s%" PRIu64, i == 0 ? "" : ",", partition_us[i]);
   }

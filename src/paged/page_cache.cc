@@ -88,12 +88,13 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
           it->second.prefetched = false;
           prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
           m_prefetch_hits_->Inc();
-          CountPrefetchHit(ctx);
+          Bump(ctx, &QueryStats::prefetch_hits);
         }
-        CountPagePinned(ctx);
+        Bump(ctx, &QueryStats::pages_pinned);
         if (ctx != nullptr) {
-          CountPageAccess(ctx, /*cold=*/false,
-                          (MonotonicNanos() - access_start_ns) / 1000);
+          Bump(ctx, &QueryStats::page_hit_count);
+          Bump(ctx, &QueryStats::page_hit_us,
+               (MonotonicNanos() - access_start_ns) / 1000);
         }
         hits_.fetch_add(1, std::memory_order_relaxed);
         m_hits_->Inc();
@@ -117,7 +118,7 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
   loads_.fetch_add(1, std::memory_order_relaxed);
   misses_.fetch_add(1, std::memory_order_relaxed);
   m_misses_->Inc();
-  CountPagePinned(ctx);
+  Bump(ctx, &QueryStats::pages_pinned);
 
   const uint64_t gen = next_generation_.fetch_add(1);
   ResourceHandle handle;
@@ -140,7 +141,7 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
           it->second.prefetched = false;
           prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
           m_prefetch_hits_->Inc();
-          CountPrefetchHit(ctx);
+          Bump(ctx, &QueryStats::prefetch_hits);
         }
         pin_waits_.fetch_add(1, std::memory_order_relaxed);
         m_pin_waits_->Inc();
@@ -149,8 +150,9 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
         // Cold despite serving their bytes: this call paid a physical read
         // (counted in pages_read), so the profile's cold count must match.
         if (ctx != nullptr) {
-          CountPageAccess(ctx, /*cold=*/true,
-                          (MonotonicNanos() - access_start_ns) / 1000);
+          Bump(ctx, &QueryStats::page_cold_count);
+          Bump(ctx, &QueryStats::page_cold_us,
+               (MonotonicNanos() - access_start_ns) / 1000);
         }
         return PageRef(it->second.page, std::move(theirs), lpn);
       }
@@ -162,14 +164,11 @@ Result<PageRef> PageCache::GetPage(LogicalPageNo lpn, ExecContext* ctx) {
     shard.occupancy->Add(1);
   }
   if (ctx != nullptr) {
-    CountPageAccess(ctx, /*cold=*/true,
-                    (MonotonicNanos() - access_start_ns) / 1000);
+    Bump(ctx, &QueryStats::page_cold_count);
+    Bump(ctx, &QueryStats::page_cold_us,
+         (MonotonicNanos() - access_start_ns) / 1000);
   }
   return PageRef(std::move(page), std::move(pin), lpn);
-}
-
-void PageCache::Prefetch(LogicalPageNo lpn, ExecContext* ctx) {
-  PrefetchRange(lpn, 1, ctx);
 }
 
 void PageCache::PrefetchRange(LogicalPageNo first, uint32_t count,
@@ -197,8 +196,8 @@ void PageCache::PrefetchRange(LogicalPageNo first, uint32_t count,
 
   prefetch_issued_.fetch_add(lpns.size(), std::memory_order_relaxed);
   m_prefetch_issued_->Add(lpns.size());
-  for (size_t i = 0; i < lpns.size(); ++i) CountPrefetchIssued(ctx);
-  CountIoBatch(ctx);
+  Bump(ctx, &QueryStats::prefetch_issued, lpns.size());
+  Bump(ctx, &QueryStats::io_batches);
   // Note: the task must not touch `ctx` — it may outlive the query.
   SharedIoPool()->Submit(
       [this, lpns = std::move(lpns)] { DoBatchRead(lpns); });

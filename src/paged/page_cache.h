@@ -73,24 +73,20 @@ class PageCache {
   // query and its deadline is checked before touching the page.
   Result<PageRef> GetPage(LogicalPageNo lpn, ExecContext* ctx = nullptr);
 
-  // Non-blocking readahead: schedules a load of `lpn` on the shared
-  // background I/O pool and returns immediately. No-op when the page is
-  // already resident or a prefetch of it is in flight. The loaded page
-  // enters the cache unpinned, with the normal weighted-LRU disposition —
-  // the resource manager may evict it before it is ever touched (counted as
-  // wasted). `ctx` attributes the *issue* to a query; the physical read
-  // happens after this call returns and is accounted to the cache only,
-  // because the background task may outlive the query.
-  void Prefetch(LogicalPageNo lpn, ExecContext* ctx = nullptr);
-
-  // Batched readahead: one submission for `count` consecutive pages
-  // starting at `first` (clamped to the chain, already-resident and
-  // already-in-flight pages filtered out). The surviving pages go to the
-  // I/O pool as ONE task whose batched read (PageFile::ReadPages) publishes
-  // each page into its shard as that page's bytes complete — a concurrent
-  // GetPage waiting on the in-flight entry wakes when its page lands, not
-  // when the whole batch does. Counts one query.io_batches on `ctx` when
-  // any page is actually issued; per-page accounting matches Prefetch.
+  // Non-blocking batched readahead: schedules a load of `count` consecutive
+  // pages starting at `first` (clamped to the chain; already-resident and
+  // already-in-flight pages drop out) on the shared background I/O pool and
+  // returns immediately. The surviving pages go to the pool as ONE task
+  // whose batched read (PageFile::ReadPages) publishes each page into its
+  // shard as that page's bytes complete — a concurrent GetPage waiting on
+  // the in-flight entry wakes when its page lands, not when the whole batch
+  // does. Loaded pages enter the cache unpinned, with the normal
+  // weighted-LRU disposition — the resource manager may evict them before
+  // they are ever touched (counted as wasted). `ctx` attributes the *issue*
+  // to a query (query.prefetch_issued per page, one query.io_batches when
+  // any page is issued); the physical read happens after this call returns
+  // and is accounted to the cache only, because the background task may
+  // outlive the query.
   void PrefetchRange(LogicalPageNo first, uint32_t count,
                      ExecContext* ctx = nullptr);
 
@@ -158,9 +154,9 @@ class PageCache {
     // resource id for Unregister.
     ResourceHandle handle;
     uint64_t generation = 0;
-    // Loaded by Prefetch and not yet served to any GetPage call. The first
-    // pin clears the flag (a prefetch hit); leaving the cache with the flag
-    // still set means the readahead was wasted.
+    // Loaded by PrefetchRange and not yet served to any GetPage call. The
+    // first pin clears the flag (a prefetch hit); leaving the cache with the
+    // flag still set means the readahead was wasted.
     bool prefetched = false;
   };
 

@@ -336,14 +336,11 @@ PagedDataVector::~PagedDataVector() { Unload(); }
 
 PagedDataVectorIterator::~PagedDataVectorIterator() {
   const uint64_t native = codec_stats_.native;
-  const uint64_t fallback = codec_stats_.fallback;
-  if (native + fallback != 0) {
-    auto& reg = obs::MetricsRegistry::Global();
-    static obs::Counter* m_native = reg.counter("codec.kernel_native");
-    static obs::Counter* m_fallback = reg.counter("codec.kernel_fallback");
+  if (native != 0) {
+    static obs::Counter* m_native =
+        obs::MetricsRegistry::Global().counter("codec.kernel_native");
     m_native->Add(native);
-    m_fallback->Add(fallback);
-    CountCodecKernels(ctx_, native, fallback);
+    Bump(ctx_, &QueryStats::codec_native, native);
   }
 }
 
@@ -457,7 +454,7 @@ Status PagedDataVectorIterator::MGet(RowPos from, RowPos to,
     out->resize(old + (stop - r));
     CodecMGet(dv_->codec_.id, view_, r - page_first_row_,
               stop - page_first_row_, out->data() + old, &codec_stats_);
-    CountRowsScanned(ctx_, stop - r);
+    Bump(ctx_, &QueryStats::rows_scanned, stop - r);
     r = stop;
   }
   return Status::OK();
@@ -484,7 +481,7 @@ Status PagedDataVectorIterator::SearchRange(RowPos from, RowPos to, ValueId lo,
     RowPos stop = std::min(to, page_end);
     CodecSearchRange(dv_->codec_.id, view_, r - page_first_row_,
                      stop - page_first_row_, lo, hi, r, out, &codec_stats_);
-    CountRowsScanned(ctx_, stop - r);
+    Bump(ctx_, &QueryStats::rows_scanned, stop - r);
     r = stop;
   }
   return Status::OK();
@@ -507,7 +504,7 @@ Status PagedDataVectorIterator::SearchEq(RowPos from, RowPos to, ValueId vid,
     RowPos stop = std::min(to, page_end);
     CodecSearchEq(dv_->codec_.id, view_, r - page_first_row_,
                   stop - page_first_row_, vid, r, out, &codec_stats_);
-    CountRowsScanned(ctx_, stop - r);
+    Bump(ctx_, &QueryStats::rows_scanned, stop - r);
     r = stop;
   }
   return Status::OK();
@@ -533,7 +530,7 @@ Status PagedDataVectorIterator::SearchIn(
     CodecSearchIn(dv_->codec_.id, view_, r - page_first_row_,
                   stop - page_first_row_, sorted_vids, r, out,
                   &codec_stats_);
-    CountRowsScanned(ctx_, stop - r);
+    Bump(ctx_, &QueryStats::rows_scanned, stop - r);
     r = stop;
   }
   return Status::OK();
@@ -547,7 +544,7 @@ Status PagedDataVectorIterator::SearchRowsRange(const std::vector<RowPos>& rows,
     if (!vid.ok()) return vid.status();
     uint64_t v = *vid;
     if (v - lo <= static_cast<uint64_t>(hi) - lo) out->push_back(r);
-    CountRowsScanned(ctx_, 1);
+    Bump(ctx_, &QueryStats::rows_scanned);
   }
   return Status::OK();
 }

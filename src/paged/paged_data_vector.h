@@ -133,8 +133,8 @@ class PagedDataVectorIterator {
                                    ExecContext* ctx = nullptr)
       : dv_(dv), ctx_(ctx) {}
 
-  // Folds the native/fallback codec-kernel tallies into the process-wide
-  // codec.* counters and the query's ExecContext.
+  // Folds the codec-kernel tally into codec.kernel_native and the query's
+  // ExecContext.
   ~PagedDataVectorIterator();
 
   // Decodes the value identifier at `rpos`.
@@ -171,11 +171,8 @@ class PagedDataVectorIterator {
   uint64_t pages_touched() const { return pages_touched_; }
   // Pages the min/max summary let the search methods skip without loading.
   uint64_t pages_pruned() const { return pages_pruned_; }
-  // Per-page kernel dispatches that ran natively on the compressed image
-  // vs. through the decode-into-scratch fallback (tests verify the native
-  // matrix through these).
+  // Per-page kernel dispatches, each run on the compressed image.
   uint64_t codec_native() const { return codec_stats_.native; }
-  uint64_t codec_fallback() const { return codec_stats_.fallback; }
 
   // Whether search methods consult the per-page min/max summary to skip
   // pages whose [min,max] cannot overlap the predicate (§3.3). On by
@@ -213,7 +210,7 @@ class PagedDataVectorIterator {
   RowPos page_first_row_ = 0;   // first row stored on the pinned page
   uint64_t page_rows_ = 0;      // rows stored on the pinned page
   CodecPageView view_;          // codec view of the pinned page
-  CodecStats codec_stats_;      // native/fallback tallies + decode scratch
+  CodecStats codec_stats_;      // kernel dispatch tally
   uint64_t pages_touched_ = 0;
   uint64_t pages_pruned_ = 0;
   uint32_t readahead_ = DefaultReadaheadWindow();

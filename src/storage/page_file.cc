@@ -175,7 +175,8 @@ Status PageFile::VerifyLoadedPage(LogicalPageNo lpn, Page* page,
     stats_->pages_read.fetch_add(1, std::memory_order_relaxed);
     stats_->bytes_read.fetch_add(page_size_, std::memory_order_relaxed);
   }
-  CountPageRead(ctx, page_size_);
+  Bump(ctx, &QueryStats::pages_read);
+  Bump(ctx, &QueryStats::bytes_read, page_size_);
   return Status::OK();
 }
 

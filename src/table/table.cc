@@ -150,7 +150,7 @@ Result<QueryResult> Table::ExecuteSelect(const PartitionMatcher& matcher,
   PAYG_RETURN_IF_ERROR(
       executor_->ForEach(ctx, n, [&](size_t i) -> Status {
         Partition* part = partitions_[i].get();
-        CountPartitionVisited(ctx);
+        Bump(ctx, &QueryStats::partitions_visited);
         std::vector<RowPos> rows;
         PAYG_RETURN_IF_ERROR(matcher(part, ctx, &rows));
         return MaterializeRows(part, rows, select_cols, ctx, &partials[i]);
@@ -172,7 +172,7 @@ Result<uint64_t> Table::ExecuteCount(const PartitionMatcher& matcher,
   PAYG_RETURN_IF_ERROR(
       executor_->ForEach(ctx, n, [&](size_t i) -> Status {
         Partition* part = partitions_[i].get();
-        CountPartitionVisited(ctx);
+        Bump(ctx, &QueryStats::partitions_visited);
         std::vector<RowPos> rows;
         PAYG_RETURN_IF_ERROR(matcher(part, ctx, &rows));
         partials[i] = rows.size();
@@ -190,7 +190,7 @@ Result<std::vector<RowId>> Table::ExecuteRowIds(const PartitionMatcher& matcher,
   PAYG_RETURN_IF_ERROR(
       executor_->ForEach(ctx, n, [&](size_t i) -> Status {
         Partition* part = partitions_[i].get();
-        CountPartitionVisited(ctx);
+        Bump(ctx, &QueryStats::partitions_visited);
         std::vector<RowPos> rows;
         PAYG_RETURN_IF_ERROR(matcher(part, ctx, &rows));
         partials[i].reserve(rows.size());
@@ -216,7 +216,7 @@ Result<double> Table::ExecuteSum(const PartitionMatcher& matcher, int sum_col,
   PAYG_RETURN_IF_ERROR(
       executor_->ForEach(ctx, n, [&](size_t i) -> Status {
         Partition* part = partitions_[i].get();
-        CountPartitionVisited(ctx);
+        Bump(ctx, &QueryStats::partitions_visited);
         std::vector<RowPos> rows;
         PAYG_RETURN_IF_ERROR(matcher(part, ctx, &rows));
         if (rows.empty()) return Status::OK();
@@ -272,7 +272,7 @@ Status Table::FindMatches(Partition* part, int col, const Value& value,
   // Delta fragment (always a full value-space scan of the delta).
   std::vector<RowPos> delta_rows;
   part->delta(col)->FindRows(value, &delta_rows);
-  CountRowsScanned(ctx, part->delta(col)->row_count());
+  Bump(ctx, &QueryStats::rows_scanned, part->delta(col)->row_count());
   const RowPos base = static_cast<RowPos>(part->main_row_count());
   for (RowPos r : delta_rows) rows.push_back(base + r);
   // Visibility.
@@ -349,7 +349,7 @@ Status Table::MultiFindMatches(Partition* part, int col,
     rows->push_back(pos);
     row_probes->push_back(it->second);
   }
-  CountRowsScanned(ctx, delta_rows);
+  Bump(ctx, &QueryStats::rows_scanned, delta_rows);
   return Status::OK();
 }
 
@@ -369,7 +369,7 @@ Status Table::FindMatchesRange(Partition* part, int col, const Value& lo,
   }
   std::vector<RowPos> delta_rows;
   part->delta(col)->FindRowsInRange(lo, hi, &delta_rows);
-  CountRowsScanned(ctx, part->delta(col)->row_count());
+  Bump(ctx, &QueryStats::rows_scanned, part->delta(col)->row_count());
   const RowPos base = static_cast<RowPos>(part->main_row_count());
   for (RowPos r : delta_rows) rows.push_back(base + r);
   for (RowPos r : rows) {
@@ -407,7 +407,7 @@ Status Table::FindMatchesIn(Partition* part, int col,
         return false;
       },
       &delta_rows);
-  CountRowsScanned(ctx, part->delta(col)->row_count());
+  Bump(ctx, &QueryStats::rows_scanned, part->delta(col)->row_count());
   const RowPos base = static_cast<RowPos>(part->main_row_count());
   for (RowPos r : delta_rows) rows.push_back(base + r);
   for (RowPos r : rows) {
@@ -456,7 +456,7 @@ Status Table::FindMatchesPrefix(Partition* part, int col,
                s.compare(0, prefix.size(), prefix) == 0;
       },
       &delta_rows);
-  CountRowsScanned(ctx, part->delta(col)->row_count());
+  Bump(ctx, &QueryStats::rows_scanned, part->delta(col)->row_count());
   const RowPos base = static_cast<RowPos>(part->main_row_count());
   for (RowPos r : delta_rows) rows.push_back(base + r);
   for (RowPos r : rows) {
@@ -574,7 +574,7 @@ Result<std::vector<QueryResult>> Table::MultiSelectByValue(
   std::vector<std::vector<QueryResult>> partials(n);
   PAYG_RETURN_IF_ERROR(executor_->ForEach(ctx, n, [&](size_t i) -> Status {
     Partition* part = partitions_[i].get();
-    CountPartitionVisited(ctx);
+    Bump(ctx, &QueryStats::partitions_visited);
     std::vector<RowPos> rows;
     std::vector<std::vector<uint32_t>> row_probes;
     PAYG_RETURN_IF_ERROR(
@@ -615,7 +615,7 @@ Result<std::vector<uint64_t>> Table::MultiCountByValue(
   std::vector<std::vector<uint64_t>> partials(n);
   PAYG_RETURN_IF_ERROR(executor_->ForEach(ctx, n, [&](size_t i) -> Status {
     Partition* part = partitions_[i].get();
-    CountPartitionVisited(ctx);
+    Bump(ctx, &QueryStats::partitions_visited);
     std::vector<RowPos> rows;
     std::vector<std::vector<uint32_t>> row_probes;
     PAYG_RETURN_IF_ERROR(
@@ -760,7 +760,7 @@ Status Table::NarrowByPredicate(Partition* part, const Predicate& pred,
             kept.push_back(r);
           }
         }
-        CountRowsScanned(ctx, main_rows.size());
+        Bump(ctx, &QueryStats::rows_scanned, main_rows.size());
         break;
       }
       case Predicate::Op::kPrefix: {
@@ -797,7 +797,7 @@ Status Table::NarrowByPredicate(Partition* part, const Predicate& pred,
       kept.push_back(r);
     }
   }
-  CountRowsScanned(ctx, delta_rows.size());
+  Bump(ctx, &QueryStats::rows_scanned, delta_rows.size());
   std::sort(kept.begin(), kept.end());
   out->insert(out->end(), kept.begin(), kept.end());
   return Status::OK();

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -149,6 +150,37 @@ TEST(ResourceManagerTest, ProactiveSweepShrinksToLowerLimit) {
   EXPECT_LE(rm.pool_bytes(PoolId::kPagedPool), 200u);
   EXPECT_GE(evicted.load(), 13);
   EXPECT_GE(rm.stats().proactive_evictions, 13u);
+}
+
+// SweepNow waits out eviction callbacks the background sweeper is still
+// running, so a caller that reads its eviction counters right after
+// SweepNow sees every eviction chosen before the call.
+TEST(ResourceManagerTest, SweepNowWaitsForBackgroundSweeperCallbacks) {
+  ResourceManager rm;
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> evicted{false};
+  rm.Register("blocker", 100, Disposition::kPagedAttribute,
+              PoolId::kPagedPool, [&] {
+                entered.set_value();
+                released.wait();
+                evicted = true;
+              });
+  // The limit change wakes the background sweeper, which picks the only
+  // resource and blocks inside its callback. Nothing else can evict it:
+  // there is no global budget and SweepNow has not been called yet.
+  rm.SetPoolLimits(PoolId::kPagedPool, {0, 50});
+  ASSERT_EQ(entered.get_future().wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+
+  auto sweep = std::async(std::launch::async, [&] { rm.SweepNow(); });
+  EXPECT_EQ(sweep.wait_for(std::chrono::milliseconds(200)),
+            std::future_status::timeout)
+      << "SweepNow returned while a sweeper callback was still running";
+  release.set_value();
+  sweep.get();
+  EXPECT_TRUE(evicted.load());
 }
 
 TEST(ResourceManagerTest, ProactiveSweepIgnoresPoolBelowUpperLimit) {

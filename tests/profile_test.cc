@@ -501,7 +501,6 @@ TEST_F(ProfileTest, ColdQueryProfileAccountsForWallTime) {
   EXPECT_EQ(p.rows_scanned, s.rows_scanned);
   EXPECT_EQ(p.vector_scans, s.vector_scans);
   EXPECT_EQ(p.codec_native, s.codec_native);
-  EXPECT_EQ(p.codec_fallback, s.codec_fallback);
 
   // Cold page waits happened inside partition tasks: the decomposition must
   // not exceed the stage it decomposes, and with the simulated latency the
@@ -611,12 +610,53 @@ TEST(QueryProfileTest, TextAndJsonCarryEveryStage) {
   EXPECT_NE(text.find("wall_us=1500"), std::string::npos) << text;
   EXPECT_NE(text.find("cold=5/1100us"), std::string::npos) << text;
   EXPECT_NE(text.find("hit=12/3us"), std::string::npos) << text;
+  EXPECT_NE(text.find("codec=9 "), std::string::npos) << text;
 
   const std::string json = p.ToJson();
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   EXPECT_NE(json.find("\"query_id\":42"), std::string::npos) << json;
   EXPECT_NE(json.find("\"partition_us\":[700,700]"), std::string::npos)
       << json;
+}
+
+// Every row of PAYG_QUERY_COUNTERS reaches all four of its readers: the
+// QueryStats snapshot, the profile delta, the ToJson key and, once the
+// context folds, the "query.<name>" registry counter.
+TEST(QueryCounterTableTest, EveryRowReachesSnapshotProfileJsonAndRegistry) {
+  auto& reg = obs::MetricsRegistry::Global();
+  QueryExecutor exec(ExecOptions{/*worker_threads=*/0});
+  auto check = [&](const std::string& name,
+                   std::atomic<uint64_t> QueryStats::*stat,
+                   uint64_t QueryStats::Snapshot::*snap,
+                   uint64_t obs::QueryProfile::*prof, uint64_t value) {
+    SCOPED_TRACE(name);
+    obs::Counter* registered = reg.counter("query." + name);
+    const uint64_t before = registered->value();
+    {
+      ExecContext ctx;
+      ASSERT_TRUE(exec.ForEach(&ctx, 1, [&](size_t) {
+                        Bump(&ctx, stat, value);
+                        return Status::OK();
+                      })
+                      .ok());
+      EXPECT_EQ(ctx.stats.snapshot().*snap, value);
+      EXPECT_EQ(ctx.profile.*prof, value);
+      const std::string json = ctx.profile.ToJson();
+      EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+      EXPECT_NE(
+          json.find("\"" + name + "\":" + std::to_string(value) + ","),
+          std::string::npos)
+          << json;
+      EXPECT_EQ(registered->value(), before);  // folds at context end
+    }
+    EXPECT_EQ(registered->value() - before, value);
+  };
+  uint64_t value = 1000;  // a distinct value per row
+#define PAYG_X(name, text)                                     \
+  check(#name, &QueryStats::name, &QueryStats::Snapshot::name, \
+        &obs::QueryProfile::name, value += 7);
+  PAYG_QUERY_COUNTERS(PAYG_X)
+#undef PAYG_X
 }
 
 // ---------------------------------------------------------------------------
