@@ -20,9 +20,11 @@ int main() {
   RunFigure("fig8", env, TableVariant::kBase, TableVariant::kPagedPkOnly,
             /*with_indexes=*/false, /*query_seed=*/801,
             [](Table* table, ErpWorkload& w) {
-              auto r = table->RowIdsByValue("pk", w.PkOfRow(w.RandomRow()));
+              auto r = table->Run(
+                  {.where = {Predicate::Eq("pk", w.PkOfRow(w.RandomRow()))},
+                   .aggregate = Aggregate::kRowIds});
               BENCH_CHECK_OK(r);
-              if (r->size() != 1) std::abort();
+              if (r->row_ids.size() != 1) std::abort();
             });
   return 0;
 }

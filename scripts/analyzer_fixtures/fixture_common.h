@@ -11,6 +11,11 @@ Status DoWork();
 Status Flush(int fd);
 Result<int> ParseCount(std::string_view in);
 
+class StorageManager {
+ public:
+  Status DropChain(const std::string& name);
+};
+
 // Ambiguous on purpose: also declared void elsewhere in this file, so the
 // harvest must drop it and the swallow rule must NOT fire on it.
 Status Touch(int which);

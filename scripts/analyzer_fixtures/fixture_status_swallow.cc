@@ -21,6 +21,10 @@ void CommaDrop(int* n) {
   DoWork(), ++*n;  // violation: comma operator discards the Status
 }
 
+void MemberCallDrop(StorageManager* storage) {
+  (void)storage->DropChain("x");  // violation: member call, cast away
+}
+
 void CleanUses() {
   Status s = DoWork();
   if (!s.ok()) return;

@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# Full verification: project lint gate first (cheapest signal), then the
-# regular build + complete test suite, then a
-# ThreadSanitizer build running the concurrency-sensitive suites (the
-# resource manager's lock-free pin path and striped touch buffers, the
-# partition-parallel executor, the lock-free metrics/trace ring, the
-# query-profile capture and slow-query ring, the page cache's asynchronous
-# prefetch pool, and the sharded-cache stress suite), then an ASan+UBSan
-# build of the buffer, cache stress, codec and profile suites.
+# Full verification, the same gates CI runs: project lint and the semantic
+# analyzer first (cheapest signal, each with its fixture self-test), then
+# the regular build + complete test suite, then a ThreadSanitizer build
+# running the concurrency-sensitive suites (the resource manager's
+# lock-free pin path and striped touch buffers, the partition-parallel
+# executor, the lock-free metrics/trace ring, the query-profile capture and
+# slow-query ring, the page cache's asynchronous prefetch pool, the
+# sharded-cache stress suite, the server, and the reference-model oracle,
+# which drives the parallel executor and the server), then an ASan+UBSan
+# build of the buffer, cache stress, codec, profile, server and
+# integration suites.
 # Usage: scripts/check.sh [build-dir-prefix]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,6 +19,10 @@ BUILD="${1:-build}"
 echo "== project lint (scripts/lint.py) =="
 python3 scripts/lint.py
 python3 scripts/lint.py --self-test
+
+echo "== semantic analyzer (scripts/payg_analyzer.py) =="
+python3 scripts/payg_analyzer.py
+python3 scripts/payg_analyzer.py --self-test
 
 echo "== regular build + full test suite =="
 cmake -B "$BUILD" -S . >/dev/null
@@ -32,22 +39,26 @@ for backend in sync uring; do
     --output-on-failure -j "$(nproc)" -R "Storage|Cache|Paged|Prefetch|Exec"
 done
 
-echo "== TSan build: buffer + exec + obs + profile + paged + cache-stress suites =="
+echo "== TSan build: buffer + exec + obs + profile + paged + cache-stress + server + integration suites =="
 cmake -B "$BUILD-tsan" -S . -DPAYG_SANITIZE=thread >/dev/null
-cmake --build "$BUILD-tsan" -j --target buffer_test exec_test obs_test profile_test paged_test cache_stress_test
+cmake --build "$BUILD-tsan" -j --target buffer_test exec_test obs_test profile_test paged_test cache_stress_test server_test integration_test
 "$BUILD-tsan"/tests/buffer_test
 "$BUILD-tsan"/tests/exec_test
 "$BUILD-tsan"/tests/obs_test
 "$BUILD-tsan"/tests/profile_test
 "$BUILD-tsan"/tests/paged_test
 "$BUILD-tsan"/tests/cache_stress_test
+"$BUILD-tsan"/tests/server_test
+"$BUILD-tsan"/tests/integration_test
 
-echo "== ASan+UBSan build: buffer + cache-stress + codec + profile suites =="
+echo "== ASan+UBSan build: buffer + cache-stress + codec + profile + server + integration suites =="
 cmake -B "$BUILD-asan" -S . -DPAYG_SANITIZE=address+undefined >/dev/null
-cmake --build "$BUILD-asan" -j --target buffer_test cache_stress_test codec_test profile_test
+cmake --build "$BUILD-asan" -j --target buffer_test cache_stress_test codec_test profile_test server_test integration_test
 "$BUILD-asan"/tests/buffer_test
 "$BUILD-asan"/tests/cache_stress_test
 "$BUILD-asan"/tests/codec_test
 "$BUILD-asan"/tests/profile_test
+"$BUILD-asan"/tests/server_test
+"$BUILD-asan"/tests/integration_test
 
 echo "check.sh: all green"

@@ -36,10 +36,10 @@ Rules (scanned over src/*.h, src/*.cc):
                    each generated name is checked both ways like a
                    literal; a missing row is reported at the row.
 
-  dropped-status   (void)-casting a call to a function whose declared return
-                   type is Status or Result<T> silently swallows an error
-                   path. Propagate it, or justify the drop with a comment AND
-                   a lint:allow marker.
+A dropped Status / Result<T> is not a lint rule: [[nodiscard]] with
+-Werror=unused-result rejects the plain form at compile time, and
+scripts/payg_analyzer.py's status-swallow rule owns the (void)-cast,
+ternary and comma forms.
 
 Any rule can be suppressed for one line with `// lint:allow(<rule>)` on that
 line; the suppression is expected to sit next to a justifying comment.
@@ -75,27 +75,12 @@ INVENTORY_ROW_RE = re.compile(
     r"^\|\s*`([^`]+)`\s*\|\s*(counter|gauge|histogram)\s*\|", re.M)
 INVENTORY_BEGIN = "<!-- metric-inventory:begin -->"
 INVENTORY_END = "<!-- metric-inventory:end -->"
-VOID_CALL_RE = re.compile(r"\(void\)\s*[\w.\->:]*?(\w+)\s*\(")
-STATUS_FN_RE = re.compile(
-    r"^\s*(?:static\s+|virtual\s+|inline\s+)*"
-    r"(?:payg::)?(?:Status|Result<[^;=]*?>)\s+(\w+)\s*\(", re.M)
 ALLOW_RE = re.compile(r"lint:allow\(([a-z\-]+)\)")
 
 
 def source_files(root):
     return sorted(p for p in root.rglob("*")
                   if p.suffix in (".h", ".cc") and p.is_file())
-
-
-def status_function_names():
-    """Names of functions declared to return Status / Result<T> in src/."""
-    names = set()
-    for path in source_files(SRC):
-        names.update(STATUS_FN_RE.findall(path.read_text()))
-    # Factory helpers named like constructors are commonly used in
-    # assign-or-return macros, not dropped; keep them in the set anyway —
-    # dropping `(void)Build(...)` would be exactly the bug this rule hunts.
-    return names
 
 
 def allowed(line, rule):
@@ -160,7 +145,7 @@ def check_metric(kind, name, is_prefix, where, findings, inventory, used):
                          "listed with a different kind)"))
 
 
-def check_file(path, text, status_fns, findings, inventory=None, used=None,
+def check_file(path, text, findings, inventory=None, used=None,
                tables=None):
     rel = path.relative_to(REPO)
     lines = text.splitlines()
@@ -200,13 +185,6 @@ def check_file(path, text, status_fns, findings, inventory=None, used=None,
             # prefix: the layer and the dotted shape must already be right.
             check_metric(kind, name, trail == "+", (rel, lineno), findings,
                          inventory, used)
-        m = VOID_CALL_RE.search(line)
-        if m and m.group(1) in status_fns and not allowed(
-                line, "dropped-status"):
-            findings.append((rel, lineno, "dropped-status",
-                             f"(void)-dropped {m.group(1)}() returns "
-                             "Status/Result; propagate or justify with "
-                             "lint:allow(dropped-status)"))
 
     if not is_shim:
         for m in MUTEX_DECL_RE.finditer(text):
@@ -226,13 +204,13 @@ def check_file(path, text, status_fns, findings, inventory=None, used=None,
                                  "anywhere in this file"))
 
 
-def run(root, status_fns, inventory=None):
+def run(root, inventory=None):
     findings = []
     used = set()
     paths = source_files(root)
     tables = field_tables(paths)
     for path in paths:
-        check_file(path, path.read_text(), status_fns, findings,
+        check_file(path, path.read_text(), findings,
                    inventory=inventory, used=used, tables=tables)
     if inventory is not None:
         # Reverse direction: every inventory row must still be registered.
@@ -251,8 +229,6 @@ def run(root, status_fns, inventory=None):
 
 
 def main():
-    status_fns = status_function_names()
-
     if "--self-test" in sys.argv:
         # Every seeded (file, rule) pair below must be flagged, and the
         # clean fixture must stay clean — so the linter cannot silently rot.
@@ -261,7 +237,6 @@ def main():
             ("bad_mutex.h", "raw-sync"),
             ("bad_getenv.cc", "raw-getenv"),
             ("bad_metric.cc", "metric-name"),
-            ("bad_status.cc", "dropped-status"),
             # A field-table row missing from the inventory.
             ("bad_table.h", "metric-name"),
             # The stale inventory row below must be flagged in the reverse
@@ -274,7 +249,7 @@ def main():
             # Registered only through clean.cc's field table.
             "cache.fixture_generated": ("counter", 3),
         }
-        findings = run(FIXTURES, status_fns, inventory=fixture_inventory)
+        findings = run(FIXTURES, inventory=fixture_inventory)
         got = {(str(rel.name), rule) for rel, _, rule, _ in findings}
         missing = expected - got
         unexpected = {g for g in got
@@ -302,8 +277,7 @@ def main():
         print("self-test " + ("OK" if ok else "FAILED"))
         return 0 if ok else 1
 
-    findings = run(SRC, status_fns,
-                   inventory=parse_metric_inventory(REPO / "DESIGN.md"))
+    findings = run(SRC, inventory=parse_metric_inventory(REPO / "DESIGN.md"))
     for rel, lineno, rule, msg in findings:
         print(f"{rel}:{lineno}: [{rule}] {msg}")
     if findings:

@@ -67,10 +67,6 @@ SRC = REPO / "src"
 FIXTURES = Path(__file__).resolve().parent / "analyzer_fixtures"
 
 ALLOW_RE = re.compile(r"analyzer:allow\(([a-z\-]+)\)")
-# lint.py's dropped-status suppression documents the same judgment call the
-# status-swallow rule makes; honor it so a justified drop needs one marker,
-# not two.
-LINT_DROP_RE = re.compile(r"lint:allow\(dropped-status\)")
 
 # ---------------------------------------------------------------------------
 # Lock-order manifest. Lock classes are keyed by (file basename, acquisition
@@ -455,9 +451,6 @@ def collect_allows(text):
         for rule in ALLOW_RE.findall(line):
             allows.setdefault(lineno, set()).add(rule)
             allows.setdefault(lineno + 1, set()).add(rule)
-        if LINT_DROP_RE.search(line):
-            allows.setdefault(lineno, set()).add("status-swallow")
-            allows.setdefault(lineno + 1, set()).add("status-swallow")
     return allows
 
 
@@ -789,6 +782,14 @@ def self_test(engine):
     findings = analyze(FIXTURES, engine, status_fns)
     got = {(f[0].name, f[2]) for f in findings}
     missing = expected - got
+    # Line level: every line a fixture marks `// violation` is flagged with
+    # that fixture's rule, so each seeded shape is proven on its own.
+    flagged = {(f[0].name, f[1]) for f in findings}
+    for name, rule in expected:
+        lines = (FIXTURES / name).read_text().split("\n")
+        for lineno, line in enumerate(lines, 1):
+            if "// violation" in line and (name, lineno) not in flagged:
+                missing.add((f"{name}:{lineno}", rule))
     unexpected = {g for g in got if g not in expected and g[0] != "clean.cc"}
     clean_hits = [f for f in findings if f[0].name == "clean.cc"]
     for rel, line, rule, msg in findings:

@@ -88,7 +88,7 @@ void StatsDumper::Stop() {
   }
   // Final export after the join: the files always end up reflecting the
   // last state of the process, even when no periodic dump ever fired.
-  (void)DumpOnce(dir);  // lint:allow(dropped-status) best-effort at shutdown
+  (void)DumpOnce(dir);  // analyzer:allow(status-swallow) best-effort at exit
 }
 
 bool StatsDumper::running() const {

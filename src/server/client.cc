@@ -102,7 +102,7 @@ Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Result<wire::Response> Client::RoundTrip(const wire::Request& req) {
+Result<wire::Response> Client::Call(const wire::Request& req) {
   PAYG_RETURN_IF_ERROR(wire::WriteFrame(fd_, wire::EncodeRequest(req)));
   std::string payload;
   PAYG_RETURN_IF_ERROR(wire::ReadFrame(fd_, &payload));
@@ -116,29 +116,22 @@ Result<wire::Response> Client::RoundTrip(const wire::Request& req) {
   return resp;
 }
 
-Status Client::Ping() {
-  wire::Request req;
-  req.op = wire::Op::kPing;
-  return RoundTrip(req).status();
-}
+Status Client::Ping() { return Call({.op = wire::Op::kPing}).status(); }
 
 Status Client::DumpStats() {
-  wire::Request req;
-  req.op = wire::Op::kDumpStats;
-  return RoundTrip(req).status();
+  return Call({.op = wire::Op::kDumpStats}).status();
 }
 
 Result<QueryResult> Client::SelectByValue(
     const std::string& table, const std::string& column, const Value& value,
     const std::vector<std::string>& select_columns, uint64_t deadline_us) {
-  wire::Request req;
-  req.op = wire::Op::kSelectByValue;
-  req.deadline_us = deadline_us;
-  req.table = table;
-  req.column = column;
-  req.value = value;
-  req.select_columns = select_columns;
-  PAYG_ASSIGN_OR_RETURN(wire::Response resp, RoundTrip(req));
+  PAYG_ASSIGN_OR_RETURN(wire::Response resp,
+                        Call({.op = wire::Op::kSelectByValue,
+                              .deadline_us = deadline_us,
+                              .table = table,
+                              .column = column,
+                              .value = value,
+                              .select_columns = select_columns}));
   return std::move(resp.result);
 }
 
@@ -146,143 +139,12 @@ Result<uint64_t> Client::CountByValue(const std::string& table,
                                       const std::string& column,
                                       const Value& value,
                                       uint64_t deadline_us) {
-  wire::Request req;
-  req.op = wire::Op::kCountByValue;
-  req.deadline_us = deadline_us;
-  req.table = table;
-  req.column = column;
-  req.value = value;
-  PAYG_ASSIGN_OR_RETURN(wire::Response resp, RoundTrip(req));
-  return resp.count;
-}
-
-Result<std::vector<RowId>> Client::RowIdsByValue(const std::string& table,
-                                                 const std::string& column,
-                                                 const Value& value,
-                                                 uint64_t deadline_us) {
-  wire::Request req;
-  req.op = wire::Op::kRowIdsByValue;
-  req.deadline_us = deadline_us;
-  req.table = table;
-  req.column = column;
-  req.value = value;
-  PAYG_ASSIGN_OR_RETURN(wire::Response resp, RoundTrip(req));
-  return std::move(resp.row_ids);
-}
-
-Result<QueryResult> Client::SelectRange(
-    const std::string& table, const std::string& column, const Value& lo,
-    const Value& hi, const std::vector<std::string>& select_columns,
-    uint64_t deadline_us) {
-  wire::Request req;
-  req.op = wire::Op::kSelectRange;
-  req.deadline_us = deadline_us;
-  req.table = table;
-  req.column = column;
-  req.lo = lo;
-  req.hi = hi;
-  req.select_columns = select_columns;
-  PAYG_ASSIGN_OR_RETURN(wire::Response resp, RoundTrip(req));
-  return std::move(resp.result);
-}
-
-Result<double> Client::SumRange(const std::string& table,
-                                const std::string& column, const Value& lo,
-                                const Value& hi,
-                                const std::string& sum_column,
-                                uint64_t deadline_us) {
-  wire::Request req;
-  req.op = wire::Op::kSumRange;
-  req.deadline_us = deadline_us;
-  req.table = table;
-  req.column = column;
-  req.lo = lo;
-  req.hi = hi;
-  req.sum_column = sum_column;
-  PAYG_ASSIGN_OR_RETURN(wire::Response resp, RoundTrip(req));
-  return resp.sum;
-}
-
-Result<QueryResult> Client::SelectIn(
-    const std::string& table, const std::string& column,
-    const std::vector<Value>& values,
-    const std::vector<std::string>& select_columns, uint64_t deadline_us) {
-  wire::Request req;
-  req.op = wire::Op::kSelectIn;
-  req.deadline_us = deadline_us;
-  req.table = table;
-  req.column = column;
-  req.values = values;
-  req.select_columns = select_columns;
-  PAYG_ASSIGN_OR_RETURN(wire::Response resp, RoundTrip(req));
-  return std::move(resp.result);
-}
-
-Result<uint64_t> Client::CountIn(const std::string& table,
-                                 const std::string& column,
-                                 const std::vector<Value>& values,
-                                 uint64_t deadline_us) {
-  wire::Request req;
-  req.op = wire::Op::kCountIn;
-  req.deadline_us = deadline_us;
-  req.table = table;
-  req.column = column;
-  req.values = values;
-  PAYG_ASSIGN_OR_RETURN(wire::Response resp, RoundTrip(req));
-  return resp.count;
-}
-
-Result<QueryResult> Client::SelectPrefix(
-    const std::string& table, const std::string& column,
-    const std::string& prefix,
-    const std::vector<std::string>& select_columns, uint64_t deadline_us) {
-  wire::Request req;
-  req.op = wire::Op::kSelectPrefix;
-  req.deadline_us = deadline_us;
-  req.table = table;
-  req.column = column;
-  req.prefix = prefix;
-  req.select_columns = select_columns;
-  PAYG_ASSIGN_OR_RETURN(wire::Response resp, RoundTrip(req));
-  return std::move(resp.result);
-}
-
-Result<uint64_t> Client::CountPrefix(const std::string& table,
-                                     const std::string& column,
-                                     const std::string& prefix,
-                                     uint64_t deadline_us) {
-  wire::Request req;
-  req.op = wire::Op::kCountPrefix;
-  req.deadline_us = deadline_us;
-  req.table = table;
-  req.column = column;
-  req.prefix = prefix;
-  PAYG_ASSIGN_OR_RETURN(wire::Response resp, RoundTrip(req));
-  return resp.count;
-}
-
-Result<QueryResult> Client::SelectWhere(
-    const std::string& table, const std::vector<Predicate>& predicates,
-    const std::vector<std::string>& select_columns, uint64_t deadline_us) {
-  wire::Request req;
-  req.op = wire::Op::kSelectWhere;
-  req.deadline_us = deadline_us;
-  req.table = table;
-  req.predicates = predicates;
-  req.select_columns = select_columns;
-  PAYG_ASSIGN_OR_RETURN(wire::Response resp, RoundTrip(req));
-  return std::move(resp.result);
-}
-
-Result<uint64_t> Client::CountWhere(const std::string& table,
-                                    const std::vector<Predicate>& predicates,
-                                    uint64_t deadline_us) {
-  wire::Request req;
-  req.op = wire::Op::kCountWhere;
-  req.deadline_us = deadline_us;
-  req.table = table;
-  req.predicates = predicates;
-  PAYG_ASSIGN_OR_RETURN(wire::Response resp, RoundTrip(req));
+  PAYG_ASSIGN_OR_RETURN(wire::Response resp,
+                        Call({.op = wire::Op::kCountByValue,
+                              .deadline_us = deadline_us,
+                              .table = table,
+                              .column = column,
+                              .value = value}));
   return resp.count;
 }
 

@@ -25,17 +25,21 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  // Every query op takes an optional per-request deadline budget in
-  // microseconds (0 = none), measured by the server from receipt. Errors
-  // come back as the engine Status for codes < 100; server-shell codes map
-  // to ResourceExhausted (kOverloaded), DeadlineExceeded (kShedDeadline)
-  // and InvalidArgument (kBadRequest) — last_code() keeps the exact wire
-  // code for callers that need to tell them apart.
+  // Sends `req` and reads its response, recording last_code/last_query_id.
+  // `req.deadline_us` is a per-request budget in microseconds (0 = none),
+  // measured by the server from receipt. Errors come back as the engine
+  // Status for codes < 100; server-shell codes map to ResourceExhausted
+  // (kOverloaded), DeadlineExceeded (kShedDeadline) and InvalidArgument
+  // (kBadRequest) — last_code() keeps the exact wire code for callers that
+  // need to tell them apart. The response's Answer field named by
+  // wire::AggregateOf(req.op) holds the result.
+  Result<wire::Response> Call(const wire::Request& req);
 
   Status Ping();
   // Asks the server to export metrics.json/.prom into its stats dir.
   Status DumpStats();
 
+  // Point lookups, the shapes the server batches.
   Result<QueryResult> SelectByValue(const std::string& table,
                                     const std::string& column,
                                     const Value& value,
@@ -45,47 +49,6 @@ class Client {
   Result<uint64_t> CountByValue(const std::string& table,
                                 const std::string& column, const Value& value,
                                 uint64_t deadline_us = 0);
-  Result<std::vector<RowId>> RowIdsByValue(const std::string& table,
-                                           const std::string& column,
-                                           const Value& value,
-                                           uint64_t deadline_us = 0);
-  Result<QueryResult> SelectRange(const std::string& table,
-                                  const std::string& column, const Value& lo,
-                                  const Value& hi,
-                                  const std::vector<std::string>&
-                                      select_columns,
-                                  uint64_t deadline_us = 0);
-  Result<double> SumRange(const std::string& table, const std::string& column,
-                          const Value& lo, const Value& hi,
-                          const std::string& sum_column,
-                          uint64_t deadline_us = 0);
-  Result<QueryResult> SelectIn(const std::string& table,
-                               const std::string& column,
-                               const std::vector<Value>& values,
-                               const std::vector<std::string>& select_columns,
-                               uint64_t deadline_us = 0);
-  Result<uint64_t> CountIn(const std::string& table,
-                           const std::string& column,
-                           const std::vector<Value>& values,
-                           uint64_t deadline_us = 0);
-  Result<QueryResult> SelectPrefix(const std::string& table,
-                                   const std::string& column,
-                                   const std::string& prefix,
-                                   const std::vector<std::string>&
-                                       select_columns,
-                                   uint64_t deadline_us = 0);
-  Result<uint64_t> CountPrefix(const std::string& table,
-                               const std::string& column,
-                               const std::string& prefix,
-                               uint64_t deadline_us = 0);
-  Result<QueryResult> SelectWhere(const std::string& table,
-                                  const std::vector<Predicate>& predicates,
-                                  const std::vector<std::string>&
-                                      select_columns,
-                                  uint64_t deadline_us = 0);
-  Result<uint64_t> CountWhere(const std::string& table,
-                              const std::vector<Predicate>& predicates,
-                              uint64_t deadline_us = 0);
 
   // Wire code and server query id of the most recent round trip.
   wire::Code last_code() const { return last_code_; }
@@ -93,10 +56,6 @@ class Client {
 
  private:
   explicit Client(int fd) : fd_(fd) {}
-
-  // Sends `req`, reads the response frame, records last_code/last_query_id
-  // and maps non-OK codes to a Status.
-  Result<wire::Response> RoundTrip(const wire::Request& req);
 
   int fd_;
   wire::Code last_code_ = wire::Code::kOk;

@@ -13,7 +13,7 @@
 //        └──────────── worker pool (worker_threads)
 //                                │  deadline-expired in queue → kShedDeadline
 //                                │  batchable same-key neighbours → one
-//                                │  Multi{Select,Count}ByValue executor task
+//                                │  Table::RunBatch executor task
 //                                ▼
 //                       session thread writes the response frame
 //
@@ -117,8 +117,9 @@ class Server {
   // query ops through the queue. Returns the response to frame back.
   wire::Response Dispatch(const wire::Request& req);
 
-  // Executes one non-batchable request against the store. `deadline` is the
-  // request's absolute deadline (max() = none), already queue-checked.
+  // Executes one non-batchable request against the store as one
+  // Table::Run of wire::ToQuery(req). `deadline` is the request's absolute
+  // deadline (max() = none), already queue-checked.
   wire::Response ExecuteSingle(const wire::Request& req,
                                ExecContext::Clock::time_point deadline);
 
@@ -128,8 +129,8 @@ class Server {
                           std::vector<Pending*>* batch) REQUIRES(queue_mu_);
 
   // Executes a batch of batchable requests sharing one key (op, table,
-  // column, select_columns) as one Multi*ByValue call and completes every
-  // member.
+  // column, select_columns) as one Table::RunBatch call and completes every
+  // member. A member that fails Table::Validate fails alone.
   void ExecuteBatch(std::vector<Pending*>& batch);
 
   void Complete(Pending* p, wire::Response resp);

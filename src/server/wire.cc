@@ -386,6 +386,66 @@ Status DecodeRequest(std::string_view payload, Request* out) {
   return Status::OK();
 }
 
+std::optional<Aggregate> AggregateOf(Op op) {
+  switch (op) {
+    case Op::kPing:
+    case Op::kDumpStats:
+      return std::nullopt;
+    case Op::kSelectByValue:
+    case Op::kSelectRange:
+    case Op::kSelectIn:
+    case Op::kSelectPrefix:
+    case Op::kSelectWhere:
+      return Aggregate::kRows;
+    case Op::kCountByValue:
+    case Op::kCountIn:
+    case Op::kCountPrefix:
+    case Op::kCountWhere:
+      return Aggregate::kCount;
+    case Op::kRowIdsByValue:
+      return Aggregate::kRowIds;
+    case Op::kSumRange:
+      return Aggregate::kSum;
+  }
+  return std::nullopt;
+}
+
+Query ToQuery(const Request& req) {
+  Query q;
+  const std::optional<Aggregate> aggregate = AggregateOf(req.op);
+  if (!aggregate.has_value()) return q;
+  q.aggregate = *aggregate;
+  switch (req.op) {
+    case Op::kSelectByValue:
+    case Op::kCountByValue:
+    case Op::kRowIdsByValue:
+      q.where.push_back(Predicate::Eq(req.column, req.value));
+      break;
+    case Op::kSelectRange:
+    case Op::kSumRange:
+      q.where.push_back(Predicate::Between(req.column, req.lo, req.hi));
+      break;
+    case Op::kSelectIn:
+    case Op::kCountIn:
+      q.where.push_back(Predicate::In(req.column, req.values));
+      break;
+    case Op::kSelectPrefix:
+    case Op::kCountPrefix:
+      q.where.push_back(Predicate::Prefix(req.column, req.prefix));
+      break;
+    case Op::kSelectWhere:
+    case Op::kCountWhere:
+      q.where = req.predicates;
+      break;
+    case Op::kPing:
+    case Op::kDumpStats:
+      break;  // no aggregate: returned above
+  }
+  if (q.aggregate == Aggregate::kRows) q.select = req.select_columns;
+  if (q.aggregate == Aggregate::kSum) q.sum_column = req.sum_column;
+  return q;
+}
+
 std::string EncodeResponse(Op op, const Response& resp) {
   std::string out;
   PutU8(&out, static_cast<uint8_t>(resp.code));
@@ -394,27 +454,19 @@ std::string EncodeResponse(Op op, const Response& resp) {
     PutString(&out, resp.message);
     return out;
   }
-  switch (op) {
-    case Op::kPing:
-    case Op::kDumpStats:
-      break;
-    case Op::kSelectByValue:
-    case Op::kSelectRange:
-    case Op::kSelectIn:
-    case Op::kSelectPrefix:
-    case Op::kSelectWhere:
+  const std::optional<Aggregate> aggregate = AggregateOf(op);
+  if (!aggregate.has_value()) return out;
+  switch (*aggregate) {
+    case Aggregate::kRows:
       PutQueryResult(&out, resp.result);
       break;
-    case Op::kCountByValue:
-    case Op::kCountIn:
-    case Op::kCountPrefix:
-    case Op::kCountWhere:
+    case Aggregate::kCount:
       PutU64(&out, resp.count);
       break;
-    case Op::kSumRange:
+    case Aggregate::kSum:
       PutU64(&out, std::bit_cast<uint64_t>(resp.sum));
       break;
-    case Op::kRowIdsByValue:
+    case Aggregate::kRowIds:
       PutU32(&out, static_cast<uint32_t>(resp.row_ids.size()));
       for (const RowId& id : resp.row_ids) {
         PutU32(&out, id.partition);
@@ -434,31 +486,23 @@ Status DecodeResponse(Op op, std::string_view payload, Response* out) {
     if (!c.GetString(&out->message)) return Truncated();
     return Status::OK();
   }
+  const std::optional<Aggregate> aggregate = AggregateOf(op);
+  if (!aggregate.has_value()) return Status::OK();
   bool ok = true;
-  switch (op) {
-    case Op::kPing:
-    case Op::kDumpStats:
-      break;
-    case Op::kSelectByValue:
-    case Op::kSelectRange:
-    case Op::kSelectIn:
-    case Op::kSelectPrefix:
-    case Op::kSelectWhere:
+  switch (*aggregate) {
+    case Aggregate::kRows:
       ok = GetQueryResult(&c, &out->result);
       break;
-    case Op::kCountByValue:
-    case Op::kCountIn:
-    case Op::kCountPrefix:
-    case Op::kCountWhere:
+    case Aggregate::kCount:
       ok = c.GetU64(&out->count);
       break;
-    case Op::kSumRange: {
+    case Aggregate::kSum: {
       uint64_t raw = 0;
       ok = c.GetU64(&raw);
       if (ok) out->sum = std::bit_cast<double>(raw);
       break;
     }
-    case Op::kRowIdsByValue: {
+    case Aggregate::kRowIds: {
       uint32_t n = 0;
       ok = c.GetU32(&n) &&
            static_cast<size_t>(n) * 8 <= c.data.size() - c.pos;

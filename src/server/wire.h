@@ -25,6 +25,7 @@
 // type tag (ValueType) + i64 / double-bits / str.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -91,31 +92,36 @@ const char* CodeName(Code code);
 Code CodeFromStatus(const Status& status);
 
 // Parsed request. Operand fields beyond what the opcode uses are ignored.
+// Each query opcode names one fixed Query shape (see ToQuery); the wire
+// keeps per-opcode operands so existing clients and frames stay valid.
 struct Request {
   Op op = Op::kPing;
   uint64_t deadline_us = 0;
-  std::string table;
-  std::string column;      // filter column of the *ByValue/Range/In/Prefix ops
-  std::string sum_column;  // kSumRange
-  Value value;             // kSelectByValue/kCountByValue/kRowIdsByValue
-  Value lo, hi;            // kSelectRange/kSumRange
-  std::vector<Value> values;          // kSelectIn/kCountIn
-  std::string prefix;                 // kSelectPrefix/kCountPrefix
-  std::vector<Predicate> predicates;  // kSelectWhere/kCountWhere
-  std::vector<std::string> select_columns;  // empty = SELECT *
+  std::string table{};
+  std::string column{};      // filter column of the *ByValue/Range/In/Prefix
+  std::string sum_column{};  // kSumRange
+  Value value{};             // kSelectByValue/kCountByValue/kRowIdsByValue
+  Value lo{}, hi{};          // kSelectRange/kSumRange
+  std::vector<Value> values{};          // kSelectIn/kCountIn
+  std::string prefix{};                 // kSelectPrefix/kCountPrefix
+  std::vector<Predicate> predicates{};  // kSelectWhere/kCountWhere
+  std::vector<std::string> select_columns{};  // empty = SELECT *
 };
 
-// Response for any opcode; which result field is meaningful follows from
-// the request's opcode.
-struct Response {
+// Response for any opcode; the Answer field the opcode's aggregate names
+// (AggregateOf) is the one carried on the wire.
+struct Response : Answer {
   Code code = Code::kOk;
   uint64_t query_id = 0;
-  std::string message;          // code != kOk
-  QueryResult result;           // select shapes
-  uint64_t count = 0;           // count shapes
-  double sum = 0;               // kSumRange
-  std::vector<RowId> row_ids;   // kRowIdsByValue
+  std::string message;  // code != kOk
 };
+
+// The aggregate a query opcode asks for; nullopt for kPing and kDumpStats.
+std::optional<Aggregate> AggregateOf(Op op);
+
+// The engine query a request asks for. Admin opcodes map to a Query with no
+// conjunct, which Table::Validate rejects.
+Query ToQuery(const Request& req);
 
 std::string EncodeRequest(const Request& req);
 Status DecodeRequest(std::string_view payload, Request* out);

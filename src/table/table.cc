@@ -7,6 +7,127 @@
 
 namespace payg {
 
+namespace {
+
+// Checks one conjunct's column and operand types against the schema and
+// returns the column's index.
+Result<int> CheckPredicate(const TableSchema& schema, const Predicate& pred) {
+  const int col = schema.ColumnIndex(pred.column);
+  if (col < 0) return Status::NotFound("no such column: " + pred.column);
+  const ValueType type = schema.columns[col].type;
+  auto operand = [&](const Value& v) {
+    if (v.type() == type) return Status::OK();
+    return Status::InvalidArgument(
+        "operand of type " + std::string(ValueTypeName(v.type())) +
+        " does not match column " + pred.column);
+  };
+  switch (pred.op) {
+    case Predicate::Op::kEq:
+      PAYG_RETURN_IF_ERROR(operand(pred.value));
+      return col;
+    case Predicate::Op::kBetween:
+      PAYG_RETURN_IF_ERROR(operand(pred.lo));
+      PAYG_RETURN_IF_ERROR(operand(pred.hi));
+      return col;
+    case Predicate::Op::kIn:
+      for (const Value& v : pred.values) PAYG_RETURN_IF_ERROR(operand(v));
+      return col;
+    case Predicate::Op::kPrefix:
+      if (type == ValueType::kString) return col;
+      return Status::InvalidArgument("prefix predicate on non-string column " +
+                                     pred.column);
+  }
+  return Status::InvalidArgument("unknown predicate op");
+}
+
+// Value-space evaluation of a predicate (delta rows).
+bool EvalPredicate(const Predicate& pred, const Value& v) {
+  switch (pred.op) {
+    case Predicate::Op::kEq:
+      return v == pred.value;
+    case Predicate::Op::kBetween:
+      return v.Compare(pred.lo) >= 0 && v.Compare(pred.hi) <= 0;
+    case Predicate::Op::kIn:
+      for (const Value& probe : pred.values) {
+        if (v == probe) return true;
+      }
+      return false;
+    case Predicate::Op::kPrefix: {
+      const std::string& s = v.AsString();
+      return s.size() >= pred.prefix.size() &&
+             s.compare(0, pred.prefix.size(), pred.prefix) == 0;
+    }
+  }
+  return false;
+}
+
+// A predicate in the vid space of one main fragment: the vids whose values
+// satisfy it, as an inclusive range [lo, hi] or, for IN, a sorted set.
+// Values absent from the dictionary drop out.
+struct VidFilter {
+  bool is_set = false;
+  ValueId lo = 1, hi = 0;    // !is_set; empty when lo > hi
+  std::vector<ValueId> set;  // is_set; ascending, unique
+
+  bool empty() const { return is_set ? set.empty() : lo > hi; }
+};
+
+Result<VidFilter> ToVidFilter(FragmentReader* reader, const Predicate& pred,
+                              uint64_t dict_size) {
+  VidFilter f;
+  ValueId vlo = 0, vhi_excl = 0;
+  switch (pred.op) {
+    case Predicate::Op::kEq: {
+      PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->FindValueId(pred.value));
+      if (vid != kInvalidValueId) f.lo = f.hi = vid;
+      return f;
+    }
+    case Predicate::Op::kBetween: {
+      PAYG_ASSIGN_OR_RETURN(vlo, reader->LowerBoundVid(pred.lo));
+      PAYG_ASSIGN_OR_RETURN(vhi_excl, reader->UpperBoundVid(pred.hi));
+      break;
+    }
+    case Predicate::Op::kIn: {
+      f.is_set = true;
+      for (const Value& v : pred.values) {
+        PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->FindValueId(v));
+        if (vid != kInvalidValueId) f.set.push_back(vid);
+      }
+      std::sort(f.set.begin(), f.set.end());
+      f.set.erase(std::unique(f.set.begin(), f.set.end()), f.set.end());
+      return f;
+    }
+    case Predicate::Op::kPrefix: {
+      // [LowerBound(prefix), LowerBound(successor)) is exactly the vid range
+      // of strings starting with `prefix` — the dictionary is order
+      // preserving. The successor is the prefix with its last byte bumped
+      // (dropping trailing 0xFF bytes); a prefix of only 0xFF bytes has
+      // none, and everything >= prefix matches.
+      PAYG_ASSIGN_OR_RETURN(vlo, reader->LowerBoundVid(Value(pred.prefix)));
+      std::string successor = pred.prefix;
+      while (!successor.empty() &&
+             static_cast<unsigned char>(successor.back()) == 0xFF) {
+        successor.pop_back();
+      }
+      if (successor.empty()) {
+        vhi_excl = static_cast<ValueId>(dict_size);
+      } else {
+        ++successor.back();
+        PAYG_ASSIGN_OR_RETURN(vhi_excl,
+                              reader->LowerBoundVid(Value(successor)));
+      }
+      break;
+    }
+  }
+  if (vlo < vhi_excl) {
+    f.lo = vlo;
+    f.hi = vhi_excl - 1;
+  }
+  return f;
+}
+
+}  // namespace
+
 Table::Table(TableSchema schema, StorageManager* storage, ResourceManager* rm,
              const ExecOptions& exec_options)
     : schema_(std::move(schema)),
@@ -78,15 +199,19 @@ Result<uint64_t> Table::AgeRows(const Value& threshold) {
   const int temp_col = schema_.temperature_column;
 
   // Find hot rows whose temperature is <= threshold.
-  std::vector<RowPos> victims;
-  PAYG_RETURN_IF_ERROR(FindMatchesRange(
-      hot_part, temp_col,
-      schema_.columns[temp_col].type == ValueType::kInt64
+  const ColumnSchema& temp = schema_.columns[temp_col];
+  const Predicate aged = Predicate::Between(
+      temp.name,
+      temp.type == ValueType::kInt64
           ? Value(std::numeric_limits<int64_t>::min())
-          : (schema_.columns[temp_col].type == ValueType::kDouble
+          : (temp.type == ValueType::kDouble
                  ? Value(-std::numeric_limits<double>::infinity())
                  : Value(std::string())),
-      threshold, /*ctx=*/nullptr, &victims));
+      threshold);
+  PAYG_RETURN_IF_ERROR(CheckPredicate(schema_, aged).status());
+  std::vector<RowPos> victims;
+  PAYG_RETURN_IF_ERROR(
+      FindMatches(hot_part, aged, temp_col, /*ctx=*/nullptr, &victims));
 
   // The move is ordinary DML (§4.2): insert into the cold delta, delete
   // from hot. No reorganisation of existing data happens here.
@@ -135,150 +260,257 @@ Result<std::vector<int>> Table::ResolveColumns(
   return cols;
 }
 
-// ---------------------------------------------------------------------------
-// Fan-out/merge drivers. Every query template reduces to one of these; the
-// executor runs `matcher` per partition (inline when worker_threads = 0) and
-// task i writes only slot i of the partials vector, so the merge below —
-// always in partition-id order — reproduces the serial loop's output exactly.
-// ---------------------------------------------------------------------------
-
-Result<QueryResult> Table::ExecuteSelect(const PartitionMatcher& matcher,
-                                         const std::vector<int>& select_cols,
-                                         ExecContext* ctx) {
-  const size_t n = partitions_.size();
-  std::vector<QueryResult> partials(n);
-  PAYG_RETURN_IF_ERROR(
-      executor_->ForEach(ctx, n, [&](size_t i) -> Status {
-        Partition* part = partitions_[i].get();
-        Bump(ctx, &QueryStats::partitions_visited);
-        std::vector<RowPos> rows;
-        PAYG_RETURN_IF_ERROR(matcher(part, ctx, &rows));
-        return MaterializeRows(part, rows, select_cols, ctx, &partials[i]);
-      }));
-  QueryResult result;
-  size_t total = 0;
-  for (const QueryResult& p : partials) total += p.rows.size();
-  result.rows.reserve(total);
-  for (QueryResult& p : partials) {
-    for (auto& row : p.rows) result.rows.push_back(std::move(row));
+Result<Table::Plan> Table::Resolve(const Query& query) const {
+  if (query.where.empty()) {
+    return Status::InvalidArgument("a query needs at least one conjunct");
   }
-  return result;
-}
-
-Result<uint64_t> Table::ExecuteCount(const PartitionMatcher& matcher,
-                                     ExecContext* ctx) {
-  const size_t n = partitions_.size();
-  std::vector<uint64_t> partials(n, 0);
-  PAYG_RETURN_IF_ERROR(
-      executor_->ForEach(ctx, n, [&](size_t i) -> Status {
-        Partition* part = partitions_[i].get();
-        Bump(ctx, &QueryStats::partitions_visited);
-        std::vector<RowPos> rows;
-        PAYG_RETURN_IF_ERROR(matcher(part, ctx, &rows));
-        partials[i] = rows.size();
-        return Status::OK();
-      }));
-  uint64_t count = 0;
-  for (uint64_t c : partials) count += c;
-  return count;
-}
-
-Result<std::vector<RowId>> Table::ExecuteRowIds(const PartitionMatcher& matcher,
-                                                ExecContext* ctx) {
-  const size_t n = partitions_.size();
-  std::vector<std::vector<RowId>> partials(n);
-  PAYG_RETURN_IF_ERROR(
-      executor_->ForEach(ctx, n, [&](size_t i) -> Status {
-        Partition* part = partitions_[i].get();
-        Bump(ctx, &QueryStats::partitions_visited);
-        std::vector<RowPos> rows;
-        PAYG_RETURN_IF_ERROR(matcher(part, ctx, &rows));
-        partials[i].reserve(rows.size());
-        for (RowPos r : rows) partials[i].push_back(RowId{part->id(), r});
-        return Status::OK();
-      }));
-  std::vector<RowId> ids;
-  size_t total = 0;
-  for (const auto& p : partials) total += p.size();
-  ids.reserve(total);
-  for (auto& p : partials) ids.insert(ids.end(), p.begin(), p.end());
-  return ids;
-}
-
-Result<double> Table::ExecuteSum(const PartitionMatcher& matcher, int sum_col,
-                                 ExecContext* ctx) {
-  const ValueType stype = schema_.columns[sum_col].type;
-  const size_t n = partitions_.size();
-  // Per-partition partial sums merged in partition order: floating-point
-  // addition is not associative, so both serial and parallel mode use this
-  // exact grouping to make the results bit-identical.
-  std::vector<double> partials(n, 0.0);
-  PAYG_RETURN_IF_ERROR(
-      executor_->ForEach(ctx, n, [&](size_t i) -> Status {
-        Partition* part = partitions_[i].get();
-        Bump(ctx, &QueryStats::partitions_visited);
-        std::vector<RowPos> rows;
-        PAYG_RETURN_IF_ERROR(matcher(part, ctx, &rows));
-        if (rows.empty()) return Status::OK();
-        const RowPos base = static_cast<RowPos>(part->main_row_count());
-        std::unique_ptr<FragmentReader> reader;
-        std::unordered_map<ValueId, double> memo;
-        double sum = 0;
-        for (RowPos r : rows) {
-          double v;
-          if (r < base) {
-            if (reader == nullptr) {
-              PAYG_ASSIGN_OR_RETURN(reader,
-                                    part->main(sum_col)->NewReader(ctx));
-            }
-            PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->GetVid(r));
-            auto it = memo.find(vid);
-            if (it == memo.end()) {
-              PAYG_ASSIGN_OR_RETURN(Value mv, reader->GetValueForVid(vid));
-              double d = stype == ValueType::kInt64
-                             ? static_cast<double>(mv.AsInt64())
-                             : mv.AsDouble();
-              it = memo.emplace(vid, d).first;
-            }
-            v = it->second;
-          } else {
-            DeltaFragment* delta = part->delta(sum_col);
-            const Value& mv = delta->GetValue(delta->GetVid(r - base));
-            v = stype == ValueType::kInt64 ? static_cast<double>(mv.AsInt64())
-                                           : mv.AsDouble();
-          }
-          sum += v;
-        }
-        partials[i] = sum;
-        return Status::OK();
-      }));
-  double sum = 0;
-  for (double p : partials) sum += p;
-  return sum;
-}
-
-Status Table::FindMatches(Partition* part, int col, const Value& value,
-                          ExecContext* ctx, std::vector<RowPos>* out) {
-  std::vector<RowPos> rows;
-  // Main fragment: dictionary probe, then inverted index (Alg. 5) or data
-  // vector scan (Alg. 1).
-  if (part->main(col) != nullptr && part->main_row_count() > 0) {
-    PAYG_ASSIGN_OR_RETURN(auto reader, part->main(col)->NewReader(ctx));
-    PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->FindValueId(value));
-    if (vid != kInvalidValueId) {
-      PAYG_RETURN_IF_ERROR(reader->FindRows(vid, &rows));
+  Plan plan;
+  plan.where_cols.reserve(query.where.size());
+  for (const Predicate& pred : query.where) {
+    PAYG_ASSIGN_OR_RETURN(int col, CheckPredicate(schema_, pred));
+    plan.where_cols.push_back(col);
+  }
+  if (query.aggregate == Aggregate::kRows) {
+    PAYG_ASSIGN_OR_RETURN(plan.select_cols, ResolveColumns(query.select));
+  }
+  if (query.aggregate == Aggregate::kSum) {
+    plan.sum_col = schema_.ColumnIndex(query.sum_column);
+    if (plan.sum_col < 0) {
+      return Status::NotFound("no such column: " + query.sum_column);
+    }
+    if (schema_.columns[plan.sum_col].type == ValueType::kString) {
+      return Status::InvalidArgument("SUM over a string column");
     }
   }
-  // Delta fragment (always a full value-space scan of the delta).
-  std::vector<RowPos> delta_rows;
-  part->delta(col)->FindRows(value, &delta_rows);
-  Bump(ctx, &QueryStats::rows_scanned, part->delta(col)->row_count());
+  return plan;
+}
+
+Status Table::Validate(const Query& query) const {
+  return Resolve(query).status();
+}
+
+// ---------------------------------------------------------------------------
+// Fan-out/merge driver. The executor runs the per-partition steps (inline
+// when worker_threads = 0) and task i writes only slot i of the partials
+// vector, so the merge below — always in partition-id order — reproduces
+// the serial loop's output exactly. SUM in particular adds per-partition
+// partials in partition order in both modes: floating-point addition is not
+// associative, and this fixed grouping keeps the result bit-identical.
+// ---------------------------------------------------------------------------
+
+Result<Answer> Table::Run(const Query& query, ExecContext* ctx) {
+  PAYG_ASSIGN_OR_RETURN(const Plan plan, Resolve(query));
+  const size_t n = partitions_.size();
+  std::vector<Answer> partials(n);
+  PAYG_RETURN_IF_ERROR(executor_->ForEach(ctx, n, [&](size_t i) -> Status {
+    Partition* part = partitions_[i].get();
+    Bump(ctx, &QueryStats::partitions_visited);
+    std::vector<RowPos> rows;
+    PAYG_RETURN_IF_ERROR(
+        FindMatchesWhere(part, query.where, plan.where_cols, ctx, &rows));
+    Answer& out = partials[i];
+    switch (query.aggregate) {
+      case Aggregate::kRows:
+        return MaterializeRows(part, rows, plan.select_cols, ctx, &out.result);
+      case Aggregate::kCount:
+        out.count = rows.size();
+        return Status::OK();
+      case Aggregate::kRowIds:
+        out.row_ids.reserve(rows.size());
+        for (RowPos r : rows) out.row_ids.push_back(RowId{part->id(), r});
+        return Status::OK();
+      case Aggregate::kSum:
+        return SumRows(part, rows, plan.sum_col, ctx, &out.sum);
+    }
+    return Status::OK();
+  }));
+
+  Answer answer;
+  size_t rows = 0, ids = 0;
+  for (const Answer& p : partials) {
+    rows += p.result.rows.size();
+    ids += p.row_ids.size();
+  }
+  answer.result.rows.reserve(rows);
+  answer.row_ids.reserve(ids);
+  for (Answer& p : partials) {
+    for (auto& row : p.result.rows) {
+      answer.result.rows.push_back(std::move(row));
+    }
+    answer.row_ids.insert(answer.row_ids.end(), p.row_ids.begin(),
+                          p.row_ids.end());
+    answer.count += p.count;
+    answer.sum += p.sum;
+  }
+  return answer;
+}
+
+Result<std::vector<Answer>> Table::RunBatch(const Query& shape,
+                                            const std::vector<Value>& probes,
+                                            ExecContext* ctx) {
+  if (shape.where.size() != 1 || shape.where[0].op != Predicate::Op::kEq ||
+      (shape.aggregate != Aggregate::kRows &&
+       shape.aggregate != Aggregate::kCount)) {
+    return Status::InvalidArgument(
+        "RunBatch takes one Eq conjunct and a rows or count aggregate");
+  }
+  if (probes.empty()) return std::vector<Answer>{};
+  // The shape is checked once with the first probe as its operand, the
+  // other probes against the same column.
+  Query query = shape;
+  query.where[0].value = probes[0];
+  PAYG_ASSIGN_OR_RETURN(const Plan plan, Resolve(query));
+  const int col = plan.where_cols[0];
+  for (const Value& probe : probes) {
+    query.where[0].value = probe;
+    PAYG_RETURN_IF_ERROR(CheckPredicate(schema_, query.where[0]).status());
+  }
+  const bool select = shape.aggregate == Aggregate::kRows;
+
+  const size_t n = partitions_.size();
+  // partials[i][j] = probe j's answer from partition i; task i writes slot i.
+  std::vector<std::vector<Answer>> partials(n);
+  PAYG_RETURN_IF_ERROR(executor_->ForEach(ctx, n, [&](size_t i) -> Status {
+    Partition* part = partitions_[i].get();
+    Bump(ctx, &QueryStats::partitions_visited);
+    std::vector<RowPos> rows;
+    std::vector<std::vector<uint32_t>> row_probes;
+    PAYG_RETURN_IF_ERROR(
+        MultiFindMatches(part, col, probes, ctx, &rows, &row_probes));
+    partials[i].resize(probes.size());
+    if (!select) {
+      for (const auto& js : row_probes) {
+        for (uint32_t j : js) ++partials[i][j].count;
+      }
+      return Status::OK();
+    }
+    // One materialization pass over the union of matched rows: each
+    // column's pages and dictionary entries are touched once for the whole
+    // batch, then the rows fan back out to their probes.
+    QueryResult united;
+    PAYG_RETURN_IF_ERROR(
+        MaterializeRows(part, rows, plan.select_cols, ctx, &united));
+    for (size_t k = 0; k < rows.size(); ++k) {
+      for (uint32_t j : row_probes[k]) {
+        partials[i][j].result.rows.push_back(united.rows[k]);
+      }
+    }
+    return Status::OK();
+  }));
+  std::vector<Answer> out(probes.size());
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < probes.size(); ++j) {
+      for (auto& row : partials[i][j].result.rows) {
+        out[j].result.rows.push_back(std::move(row));
+      }
+      out[j].count += partials[i][j].count;
+    }
+  }
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Per-partition steps.
+// ---------------------------------------------------------------------------
+
+Status Table::FindMatches(Partition* part, const Predicate& pred, int col,
+                          ExecContext* ctx, std::vector<RowPos>* out) {
+  std::vector<RowPos> rows;
   const RowPos base = static_cast<RowPos>(part->main_row_count());
+  // Main fragment: dictionary probe, then the inverted index for Eq (Alg. 5,
+  // a data-vector scan when there is none) or a data-vector search over the
+  // vid range or set (Alg. 1).
+  if (part->main(col) != nullptr && base > 0) {
+    PAYG_ASSIGN_OR_RETURN(auto reader, part->main(col)->NewReader(ctx));
+    PAYG_ASSIGN_OR_RETURN(
+        VidFilter f,
+        ToVidFilter(reader.get(), pred, part->main(col)->dict_size()));
+    if (f.empty()) {
+      // No value of the main dictionary qualifies.
+    } else if (pred.op == Predicate::Op::kEq) {
+      PAYG_RETURN_IF_ERROR(reader->FindRows(f.lo, &rows));
+    } else if (f.is_set) {
+      PAYG_RETURN_IF_ERROR(reader->SearchVidSet(0, base, f.set, &rows));
+    } else {
+      PAYG_RETURN_IF_ERROR(reader->SearchVidRange(0, base, f.lo, f.hi, &rows));
+    }
+  }
+  // Delta fragment: hash + postings for Eq, otherwise one pass over its
+  // unsorted dictionary and one over its vids.
+  DeltaFragment* delta = part->delta(col);
+  std::vector<RowPos> delta_rows;
+  if (pred.op == Predicate::Op::kEq) {
+    delta->FindRows(pred.value, &delta_rows);
+  } else {
+    delta->FindRowsMatching(
+        [&pred](const Value& v) { return EvalPredicate(pred, v); },
+        &delta_rows);
+  }
+  Bump(ctx, &QueryStats::rows_scanned, delta->row_count());
   for (RowPos r : delta_rows) rows.push_back(base + r);
   // Visibility.
   for (RowPos r : rows) {
     if (part->IsVisible(r)) out->push_back(r);
   }
+  return Status::OK();
+}
+
+Status Table::NarrowByPredicate(Partition* part, const Predicate& pred,
+                                int col, const std::vector<RowPos>& in,
+                                ExecContext* ctx, std::vector<RowPos>* out) {
+  // Split candidates into main rows (narrowed via vid-space row-list
+  // search) and delta rows (narrowed in value space).
+  const RowPos base = static_cast<RowPos>(part->main_row_count());
+  std::vector<RowPos> main_rows, delta_rows;
+  for (RowPos r : in) {
+    (r < base ? main_rows : delta_rows).push_back(r);
+  }
+
+  std::vector<RowPos> kept;
+  if (!main_rows.empty()) {
+    PAYG_ASSIGN_OR_RETURN(auto reader, part->main(col)->NewReader(ctx));
+    PAYG_ASSIGN_OR_RETURN(
+        VidFilter f,
+        ToVidFilter(reader.get(), pred, part->main(col)->dict_size()));
+    if (f.empty()) {
+      // No candidate main row can qualify.
+    } else if (f.is_set) {
+      for (RowPos r : main_rows) {
+        PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->GetVid(r));
+        if (std::binary_search(f.set.begin(), f.set.end(), vid)) {
+          kept.push_back(r);
+        }
+      }
+      Bump(ctx, &QueryStats::rows_scanned, main_rows.size());
+    } else {
+      PAYG_RETURN_IF_ERROR(reader->FilterRows(main_rows, f.lo, f.hi, &kept));
+    }
+  }
+  DeltaFragment* delta = part->delta(col);
+  for (RowPos r : delta_rows) {
+    if (EvalPredicate(pred, delta->GetValue(delta->GetVid(r - base)))) {
+      kept.push_back(r);
+    }
+  }
+  Bump(ctx, &QueryStats::rows_scanned, delta_rows.size());
+  std::sort(kept.begin(), kept.end());
+  out->insert(out->end(), kept.begin(), kept.end());
+  return Status::OK();
+}
+
+Status Table::FindMatchesWhere(Partition* part,
+                               const std::vector<Predicate>& where,
+                               const std::vector<int>& cols, ExecContext* ctx,
+                               std::vector<RowPos>* out) {
+  std::vector<RowPos> candidates;
+  PAYG_RETURN_IF_ERROR(FindMatches(part, where[0], cols[0], ctx, &candidates));
+  for (size_t i = 1; i < where.size() && !candidates.empty(); ++i) {
+    std::vector<RowPos> next;
+    PAYG_RETURN_IF_ERROR(
+        NarrowByPredicate(part, where[i], cols[i], candidates, ctx, &next));
+    candidates = std::move(next);
+  }
+  out->insert(out->end(), candidates.begin(), candidates.end());
   return Status::OK();
 }
 
@@ -353,118 +585,6 @@ Status Table::MultiFindMatches(Partition* part, int col,
   return Status::OK();
 }
 
-Status Table::FindMatchesRange(Partition* part, int col, const Value& lo,
-                               const Value& hi, ExecContext* ctx,
-                               std::vector<RowPos>* out) {
-  std::vector<RowPos> rows;
-  if (part->main(col) != nullptr && part->main_row_count() > 0) {
-    PAYG_ASSIGN_OR_RETURN(auto reader, part->main(col)->NewReader(ctx));
-    PAYG_ASSIGN_OR_RETURN(ValueId vlo, reader->LowerBoundVid(lo));
-    PAYG_ASSIGN_OR_RETURN(ValueId vhi_excl, reader->UpperBoundVid(hi));
-    if (vlo < vhi_excl) {
-      PAYG_RETURN_IF_ERROR(reader->SearchVidRange(
-          0, static_cast<RowPos>(part->main_row_count()), vlo, vhi_excl - 1,
-          &rows));
-    }
-  }
-  std::vector<RowPos> delta_rows;
-  part->delta(col)->FindRowsInRange(lo, hi, &delta_rows);
-  Bump(ctx, &QueryStats::rows_scanned, part->delta(col)->row_count());
-  const RowPos base = static_cast<RowPos>(part->main_row_count());
-  for (RowPos r : delta_rows) rows.push_back(base + r);
-  for (RowPos r : rows) {
-    if (part->IsVisible(r)) out->push_back(r);
-  }
-  return Status::OK();
-}
-
-Status Table::FindMatchesIn(Partition* part, int col,
-                            const std::vector<Value>& values, ExecContext* ctx,
-                            std::vector<RowPos>* out) {
-  std::vector<RowPos> rows;
-  if (part->main(col) != nullptr && part->main_row_count() > 0) {
-    PAYG_ASSIGN_OR_RETURN(auto reader, part->main(col)->NewReader(ctx));
-    // Translate the IN-list into a sorted vid set through the dictionary;
-    // absent values simply drop out.
-    std::vector<ValueId> vids;
-    for (const Value& v : values) {
-      PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->FindValueId(v));
-      if (vid != kInvalidValueId) vids.push_back(vid);
-    }
-    std::sort(vids.begin(), vids.end());
-    vids.erase(std::unique(vids.begin(), vids.end()), vids.end());
-    if (!vids.empty()) {
-      PAYG_RETURN_IF_ERROR(reader->SearchVidSet(
-          0, static_cast<RowPos>(part->main_row_count()), vids, &rows));
-    }
-  }
-  std::vector<RowPos> delta_rows;
-  part->delta(col)->FindRowsMatching(
-      [&values](const Value& v) {
-        for (const Value& probe : values) {
-          if (v == probe) return true;
-        }
-        return false;
-      },
-      &delta_rows);
-  Bump(ctx, &QueryStats::rows_scanned, part->delta(col)->row_count());
-  const RowPos base = static_cast<RowPos>(part->main_row_count());
-  for (RowPos r : delta_rows) rows.push_back(base + r);
-  for (RowPos r : rows) {
-    if (part->IsVisible(r)) out->push_back(r);
-  }
-  return Status::OK();
-}
-
-Status Table::FindMatchesPrefix(Partition* part, int col,
-                                const std::string& prefix, ExecContext* ctx,
-                                std::vector<RowPos>* out) {
-  std::vector<RowPos> rows;
-  if (part->main(col) != nullptr && part->main_row_count() > 0) {
-    PAYG_ASSIGN_OR_RETURN(auto reader, part->main(col)->NewReader(ctx));
-    // [LowerBound(prefix), LowerBound(successor)) is exactly the vid range
-    // of strings starting with `prefix` — the dictionary is order
-    // preserving. The successor is the prefix with its last byte bumped
-    // (dropping trailing 0xFF bytes).
-    PAYG_ASSIGN_OR_RETURN(ValueId vlo,
-                          reader->LowerBoundVid(Value(prefix)));
-    std::string successor = prefix;
-    while (!successor.empty() &&
-           static_cast<unsigned char>(successor.back()) == 0xFF) {
-      successor.pop_back();
-    }
-    ValueId vhi_excl;
-    if (successor.empty()) {
-      // Prefix of all-0xFF bytes: everything >= prefix matches.
-      vhi_excl = static_cast<ValueId>(part->main(col)->dict_size());
-    } else {
-      ++successor.back();
-      PAYG_ASSIGN_OR_RETURN(vhi_excl,
-                            reader->LowerBoundVid(Value(successor)));
-    }
-    if (vlo < vhi_excl) {
-      PAYG_RETURN_IF_ERROR(reader->SearchVidRange(
-          0, static_cast<RowPos>(part->main_row_count()), vlo, vhi_excl - 1,
-          &rows));
-    }
-  }
-  std::vector<RowPos> delta_rows;
-  part->delta(col)->FindRowsMatching(
-      [&prefix](const Value& v) {
-        const std::string& s = v.AsString();
-        return s.size() >= prefix.size() &&
-               s.compare(0, prefix.size(), prefix) == 0;
-      },
-      &delta_rows);
-  Bump(ctx, &QueryStats::rows_scanned, part->delta(col)->row_count());
-  const RowPos base = static_cast<RowPos>(part->main_row_count());
-  for (RowPos r : delta_rows) rows.push_back(base + r);
-  for (RowPos r : rows) {
-    if (part->IsVisible(r)) out->push_back(r);
-  }
-  return Status::OK();
-}
-
 Status Table::MaterializeRows(Partition* part, const std::vector<RowPos>& rows,
                               const std::vector<int>& select_cols,
                               ExecContext* ctx, QueryResult* result) {
@@ -502,412 +622,37 @@ Status Table::MaterializeRows(Partition* part, const std::vector<RowPos>& rows,
   return Status::OK();
 }
 
-Result<QueryResult> Table::SelectByValue(
-    const std::string& filter_column, const Value& value,
-    const std::vector<std::string>& select_columns, ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  PAYG_ASSIGN_OR_RETURN(std::vector<int> select_cols,
-                        ResolveColumns(select_columns));
-  return ExecuteSelect(
-      [this, col, &value](Partition* part, ExecContext* c,
-                          std::vector<RowPos>* rows) {
-        return FindMatches(part, col, value, c, rows);
-      },
-      select_cols, ctx);
-}
-
-Result<uint64_t> Table::CountByValue(const std::string& filter_column,
-                                     const Value& value, ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  return ExecuteCount(
-      [this, col, &value](Partition* part, ExecContext* c,
-                          std::vector<RowPos>* rows) {
-        return FindMatches(part, col, value, c, rows);
-      },
-      ctx);
-}
-
-Result<std::vector<RowId>> Table::RowIdsByValue(
-    const std::string& filter_column, const Value& value, ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  return ExecuteRowIds(
-      [this, col, &value](Partition* part, ExecContext* c,
-                          std::vector<RowPos>* rows) {
-        return FindMatches(part, col, value, c, rows);
-      },
-      ctx);
-}
-
-namespace {
-
-// Shared probe validation for the multi-lookup entry points: a mistyped
-// probe would hit the dictionary's typed-compare assertion deep in the
-// engine, so reject it at the API boundary (the server forwards untrusted
-// client values here).
-Status CheckProbeTypes(const TableSchema& schema, int col,
-                       const std::vector<Value>& probes) {
-  for (const Value& p : probes) {
-    if (p.type() != schema.columns[col].type) {
-      return Status::InvalidArgument(
-          "probe type does not match column " + schema.columns[col].name);
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<std::vector<QueryResult>> Table::MultiSelectByValue(
-    const std::string& filter_column, const std::vector<Value>& probes,
-    const std::vector<std::string>& select_columns, ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  PAYG_RETURN_IF_ERROR(CheckProbeTypes(schema_, col, probes));
-  PAYG_ASSIGN_OR_RETURN(std::vector<int> select_cols,
-                        ResolveColumns(select_columns));
-  if (probes.empty()) return std::vector<QueryResult>{};
-  const size_t n = partitions_.size();
-  // partials[i][j] = probe j's rows from partition i; task i writes slot i.
-  std::vector<std::vector<QueryResult>> partials(n);
-  PAYG_RETURN_IF_ERROR(executor_->ForEach(ctx, n, [&](size_t i) -> Status {
-    Partition* part = partitions_[i].get();
-    Bump(ctx, &QueryStats::partitions_visited);
-    std::vector<RowPos> rows;
-    std::vector<std::vector<uint32_t>> row_probes;
-    PAYG_RETURN_IF_ERROR(
-        MultiFindMatches(part, col, probes, ctx, &rows, &row_probes));
-    // One materialization pass over the union of matched rows: each
-    // column's pages and dictionary entries are touched once for the whole
-    // batch, then the rows fan back out to their probes.
-    QueryResult united;
-    PAYG_RETURN_IF_ERROR(
-        MaterializeRows(part, rows, select_cols, ctx, &united));
-    partials[i].resize(probes.size());
-    for (size_t k = 0; k < rows.size(); ++k) {
-      for (uint32_t j : row_probes[k]) {
-        partials[i][j].rows.push_back(united.rows[k]);
-      }
-    }
-    return Status::OK();
-  }));
-  std::vector<QueryResult> out(probes.size());
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < probes.size(); ++j) {
-      for (auto& row : partials[i][j].rows) {
-        out[j].rows.push_back(std::move(row));
-      }
-    }
-  }
-  return out;
-}
-
-Result<std::vector<uint64_t>> Table::MultiCountByValue(
-    const std::string& filter_column, const std::vector<Value>& probes,
-    ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  PAYG_RETURN_IF_ERROR(CheckProbeTypes(schema_, col, probes));
-  if (probes.empty()) return std::vector<uint64_t>{};
-  const size_t n = partitions_.size();
-  std::vector<std::vector<uint64_t>> partials(n);
-  PAYG_RETURN_IF_ERROR(executor_->ForEach(ctx, n, [&](size_t i) -> Status {
-    Partition* part = partitions_[i].get();
-    Bump(ctx, &QueryStats::partitions_visited);
-    std::vector<RowPos> rows;
-    std::vector<std::vector<uint32_t>> row_probes;
-    PAYG_RETURN_IF_ERROR(
-        MultiFindMatches(part, col, probes, ctx, &rows, &row_probes));
-    partials[i].assign(probes.size(), 0);
-    for (const auto& js : row_probes) {
-      for (uint32_t j : js) ++partials[i][j];
-    }
-    return Status::OK();
-  }));
-  std::vector<uint64_t> out(probes.size(), 0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < probes.size(); ++j) out[j] += partials[i][j];
-  }
-  return out;
-}
-
-Result<QueryResult> Table::SelectRange(
-    const std::string& filter_column, const Value& lo, const Value& hi,
-    const std::vector<std::string>& select_columns, ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  PAYG_ASSIGN_OR_RETURN(std::vector<int> select_cols,
-                        ResolveColumns(select_columns));
-  return ExecuteSelect(
-      [this, col, &lo, &hi](Partition* part, ExecContext* c,
-                            std::vector<RowPos>* rows) {
-        return FindMatchesRange(part, col, lo, hi, c, rows);
-      },
-      select_cols, ctx);
-}
-
-Result<double> Table::SumRange(const std::string& filter_column,
-                               const Value& lo, const Value& hi,
-                               const std::string& sum_column,
-                               ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  int scol = schema_.ColumnIndex(sum_column);
-  if (scol < 0) return Status::NotFound("no such column: " + sum_column);
-  if (schema_.columns[scol].type == ValueType::kString) {
-    return Status::InvalidArgument("SUM over a string column");
-  }
-  return ExecuteSum(
-      [this, col, &lo, &hi](Partition* part, ExecContext* c,
-                            std::vector<RowPos>* rows) {
-        return FindMatchesRange(part, col, lo, hi, c, rows);
-      },
-      scol, ctx);
-}
-
-namespace {
-
-// Value-space evaluation of a predicate (delta rows and IN narrowing).
-bool EvalPredicate(const Predicate& pred, const Value& v) {
-  switch (pred.op) {
-    case Predicate::Op::kEq:
-      return v == pred.value;
-    case Predicate::Op::kBetween:
-      return v.Compare(pred.lo) >= 0 && v.Compare(pred.hi) <= 0;
-    case Predicate::Op::kIn:
-      for (const Value& probe : pred.values) {
-        if (v == probe) return true;
-      }
-      return false;
-    case Predicate::Op::kPrefix: {
-      const std::string& s = v.AsString();
-      return s.size() >= pred.prefix.size() &&
-             s.compare(0, pred.prefix.size(), pred.prefix) == 0;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-Status Table::FindByPredicate(Partition* part, const Predicate& pred,
-                              ExecContext* ctx, std::vector<RowPos>* out) {
-  int col = schema_.ColumnIndex(pred.column);
-  if (col < 0) return Status::NotFound("no such column: " + pred.column);
-  switch (pred.op) {
-    case Predicate::Op::kEq:
-      return FindMatches(part, col, pred.value, ctx, out);
-    case Predicate::Op::kBetween:
-      return FindMatchesRange(part, col, pred.lo, pred.hi, ctx, out);
-    case Predicate::Op::kIn:
-      return FindMatchesIn(part, col, pred.values, ctx, out);
-    case Predicate::Op::kPrefix:
-      if (schema_.columns[col].type != ValueType::kString) {
-        return Status::InvalidArgument("prefix predicate on non-string "
-                                       "column");
-      }
-      return FindMatchesPrefix(part, col, pred.prefix, ctx, out);
-  }
-  return Status::Internal("unknown predicate op");
-}
-
-Status Table::NarrowByPredicate(Partition* part, const Predicate& pred,
-                                const std::vector<RowPos>& in,
-                                ExecContext* ctx, std::vector<RowPos>* out) {
-  int col = schema_.ColumnIndex(pred.column);
-  if (col < 0) return Status::NotFound("no such column: " + pred.column);
-
-  // Split candidates into main rows (narrowed via vid-space row-list
-  // search) and delta rows (narrowed in value space).
+Status Table::SumRows(Partition* part, const std::vector<RowPos>& rows,
+                      int sum_col, ExecContext* ctx, double* sum) {
+  const ValueType stype = schema_.columns[sum_col].type;
   const RowPos base = static_cast<RowPos>(part->main_row_count());
-  std::vector<RowPos> main_rows, delta_rows;
-  for (RowPos r : in) {
-    (r < base ? main_rows : delta_rows).push_back(r);
-  }
-
-  std::vector<RowPos> kept;
-  if (!main_rows.empty()) {
-    PAYG_ASSIGN_OR_RETURN(auto reader, part->main(col)->NewReader(ctx));
-    switch (pred.op) {
-      case Predicate::Op::kEq: {
-        PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->FindValueId(pred.value));
-        if (vid != kInvalidValueId) {
-          PAYG_RETURN_IF_ERROR(reader->FilterRows(main_rows, vid, vid, &kept));
-        }
-        break;
+  std::unique_ptr<FragmentReader> reader;
+  std::unordered_map<ValueId, double> memo;  // decode each distinct vid once
+  for (RowPos r : rows) {
+    double v;
+    if (r < base) {
+      if (reader == nullptr) {
+        PAYG_ASSIGN_OR_RETURN(reader, part->main(sum_col)->NewReader(ctx));
       }
-      case Predicate::Op::kBetween: {
-        PAYG_ASSIGN_OR_RETURN(ValueId vlo, reader->LowerBoundVid(pred.lo));
-        PAYG_ASSIGN_OR_RETURN(ValueId vhi_excl, reader->UpperBoundVid(pred.hi));
-        if (vlo < vhi_excl) {
-          PAYG_RETURN_IF_ERROR(
-              reader->FilterRows(main_rows, vlo, vhi_excl - 1, &kept));
-        }
-        break;
+      PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->GetVid(r));
+      auto it = memo.find(vid);
+      if (it == memo.end()) {
+        PAYG_ASSIGN_OR_RETURN(Value mv, reader->GetValueForVid(vid));
+        double d = stype == ValueType::kInt64
+                       ? static_cast<double>(mv.AsInt64())
+                       : mv.AsDouble();
+        it = memo.emplace(vid, d).first;
       }
-      case Predicate::Op::kIn: {
-        std::vector<ValueId> vids;
-        for (const Value& v : pred.values) {
-          PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->FindValueId(v));
-          if (vid != kInvalidValueId) vids.push_back(vid);
-        }
-        std::sort(vids.begin(), vids.end());
-        for (RowPos r : main_rows) {
-          PAYG_ASSIGN_OR_RETURN(ValueId vid, reader->GetVid(r));
-          if (std::binary_search(vids.begin(), vids.end(), vid)) {
-            kept.push_back(r);
-          }
-        }
-        Bump(ctx, &QueryStats::rows_scanned, main_rows.size());
-        break;
-      }
-      case Predicate::Op::kPrefix: {
-        if (schema_.columns[col].type != ValueType::kString) {
-          return Status::InvalidArgument("prefix predicate on non-string "
-                                         "column");
-        }
-        PAYG_ASSIGN_OR_RETURN(ValueId vlo,
-                              reader->LowerBoundVid(Value(pred.prefix)));
-        std::string successor = pred.prefix;
-        while (!successor.empty() &&
-               static_cast<unsigned char>(successor.back()) == 0xFF) {
-          successor.pop_back();
-        }
-        ValueId vhi_excl;
-        if (successor.empty()) {
-          vhi_excl = static_cast<ValueId>(part->main(col)->dict_size());
-        } else {
-          ++successor.back();
-          PAYG_ASSIGN_OR_RETURN(vhi_excl,
-                                reader->LowerBoundVid(Value(successor)));
-        }
-        if (vlo < vhi_excl) {
-          PAYG_RETURN_IF_ERROR(
-              reader->FilterRows(main_rows, vlo, vhi_excl - 1, &kept));
-        }
-        break;
-      }
+      v = it->second;
+    } else {
+      DeltaFragment* delta = part->delta(sum_col);
+      const Value& mv = delta->GetValue(delta->GetVid(r - base));
+      v = stype == ValueType::kInt64 ? static_cast<double>(mv.AsInt64())
+                                     : mv.AsDouble();
     }
+    *sum += v;
   }
-  DeltaFragment* delta = part->delta(col);
-  for (RowPos r : delta_rows) {
-    if (EvalPredicate(pred, delta->GetValue(delta->GetVid(r - base)))) {
-      kept.push_back(r);
-    }
-  }
-  Bump(ctx, &QueryStats::rows_scanned, delta_rows.size());
-  std::sort(kept.begin(), kept.end());
-  out->insert(out->end(), kept.begin(), kept.end());
   return Status::OK();
-}
-
-Status Table::FindMatchesWhere(Partition* part,
-                               const std::vector<Predicate>& conjuncts,
-                               ExecContext* ctx, std::vector<RowPos>* out) {
-  PAYG_ASSERT(!conjuncts.empty());
-  std::vector<RowPos> candidates;
-  PAYG_RETURN_IF_ERROR(FindByPredicate(part, conjuncts[0], ctx, &candidates));
-  for (size_t i = 1; i < conjuncts.size() && !candidates.empty(); ++i) {
-    std::vector<RowPos> next;
-    PAYG_RETURN_IF_ERROR(
-        NarrowByPredicate(part, conjuncts[i], candidates, ctx, &next));
-    candidates = std::move(next);
-  }
-  out->insert(out->end(), candidates.begin(), candidates.end());
-  return Status::OK();
-}
-
-Result<QueryResult> Table::SelectWhere(
-    const std::vector<Predicate>& conjuncts,
-    const std::vector<std::string>& select_columns, ExecContext* ctx) {
-  if (conjuncts.empty()) {
-    return Status::InvalidArgument("SelectWhere needs at least one conjunct");
-  }
-  PAYG_ASSIGN_OR_RETURN(std::vector<int> select_cols,
-                        ResolveColumns(select_columns));
-  return ExecuteSelect(
-      [this, &conjuncts](Partition* part, ExecContext* c,
-                         std::vector<RowPos>* rows) {
-        return FindMatchesWhere(part, conjuncts, c, rows);
-      },
-      select_cols, ctx);
-}
-
-Result<uint64_t> Table::CountWhere(const std::vector<Predicate>& conjuncts,
-                                   ExecContext* ctx) {
-  if (conjuncts.empty()) {
-    return Status::InvalidArgument("CountWhere needs at least one conjunct");
-  }
-  return ExecuteCount(
-      [this, &conjuncts](Partition* part, ExecContext* c,
-                         std::vector<RowPos>* rows) {
-        return FindMatchesWhere(part, conjuncts, c, rows);
-      },
-      ctx);
-}
-
-Result<QueryResult> Table::SelectIn(
-    const std::string& filter_column, const std::vector<Value>& values,
-    const std::vector<std::string>& select_columns, ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  PAYG_ASSIGN_OR_RETURN(std::vector<int> select_cols,
-                        ResolveColumns(select_columns));
-  return ExecuteSelect(
-      [this, col, &values](Partition* part, ExecContext* c,
-                           std::vector<RowPos>* rows) {
-        return FindMatchesIn(part, col, values, c, rows);
-      },
-      select_cols, ctx);
-}
-
-Result<uint64_t> Table::CountIn(const std::string& filter_column,
-                                const std::vector<Value>& values,
-                                ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  return ExecuteCount(
-      [this, col, &values](Partition* part, ExecContext* c,
-                           std::vector<RowPos>* rows) {
-        return FindMatchesIn(part, col, values, c, rows);
-      },
-      ctx);
-}
-
-Result<QueryResult> Table::SelectPrefix(
-    const std::string& filter_column, const std::string& prefix,
-    const std::vector<std::string>& select_columns, ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  if (schema_.columns[col].type != ValueType::kString) {
-    return Status::InvalidArgument("prefix predicate on non-string column");
-  }
-  PAYG_ASSIGN_OR_RETURN(std::vector<int> select_cols,
-                        ResolveColumns(select_columns));
-  return ExecuteSelect(
-      [this, col, &prefix](Partition* part, ExecContext* c,
-                           std::vector<RowPos>* rows) {
-        return FindMatchesPrefix(part, col, prefix, c, rows);
-      },
-      select_cols, ctx);
-}
-
-Result<uint64_t> Table::CountPrefix(const std::string& filter_column,
-                                    const std::string& prefix,
-                                    ExecContext* ctx) {
-  int col = schema_.ColumnIndex(filter_column);
-  if (col < 0) return Status::NotFound("no such column: " + filter_column);
-  if (schema_.columns[col].type != ValueType::kString) {
-    return Status::InvalidArgument("prefix predicate on non-string column");
-  }
-  return ExecuteCount(
-      [this, col, &prefix](Partition* part, ExecContext* c,
-                           std::vector<RowPos>* rows) {
-        return FindMatchesPrefix(part, col, prefix, c, rows);
-      },
-      ctx);
 }
 
 void Table::UnloadAll() {

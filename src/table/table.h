@@ -1,7 +1,6 @@
 #ifndef PAYG_TABLE_TABLE_H_
 #define PAYG_TABLE_TABLE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -76,6 +75,33 @@ struct Predicate {
   }
 };
 
+// What a query returns: its rows, COUNT(*), ROWID()s or SUM(column).
+enum class Aggregate { kRows, kCount, kRowIds, kSum };
+
+// SELECT <select> | COUNT(*) | ROWID() | SUM(<sum_column>) FROM T
+// WHERE <where[0]> AND <where[1]> AND ...
+// The first conjunct drives: it is evaluated through the dictionary and
+// then the inverted index or a data-vector search; the others narrow the
+// surviving rows with the data-vector search over row lists (§3.1.2), and
+// the survivors are materialized late.
+struct Query {
+  std::vector<Predicate> where{};     // at least one conjunct
+  std::vector<std::string> select{};  // kRows only; empty = SELECT *
+  Aggregate aggregate = Aggregate::kRows;
+  std::string sum_column{};           // kSum only; an int64 or double column
+};
+
+// The answer to a Query; the field its aggregate names is set, the others
+// stay empty.
+struct Answer {
+  QueryResult result;          // kRows
+  uint64_t count = 0;          // kCount
+  double sum = 0;              // kSum
+  std::vector<RowId> row_ids;  // kRowIds, in partition order
+
+  bool operator==(const Answer& other) const = default;
+};
+
 // A range-partitioned columnar table with one hot partition and any number
 // of cold partitions (§4). Every query is evaluated independently on the
 // main and delta fragment of each partition and the results are combined
@@ -136,101 +162,109 @@ class Table {
   uint64_t row_count() const;
   uint64_t visible_row_count() const;
 
-  // --- queries (the §6 workload templates) ---------------------------------
+  // --- queries ---------------------------------------------------------------
   //
-  // Every template fans its per-partition work out through the shared
+  // Run fans a query's per-partition work out through the shared
   // QueryExecutor and merges partition results in partition-id order, so
-  // serial (worker_threads = 0) and parallel runs return identical results.
+  // serial (worker_threads = 0) and parallel runs return identical answers.
   // The optional ExecContext collects per-query counters and carries the
   // query deadline; null means "no accounting".
 
+  // Checks `query` against the schema: at least one conjunct, every named
+  // column exists (NotFound otherwise), every operand has its column's type,
+  // prefixes apply to string columns and SUM to numeric ones
+  // (InvalidArgument otherwise). Run and RunBatch call it first, so a
+  // mistyped operand never reaches a typed compare.
+  Status Validate(const Query& query) const;
+
+  Result<Answer> Run(const Query& query, ExecContext* ctx = nullptr);
+
+  // Batched point lookups (S25): `shape` is one Eq conjunct with a rows or
+  // count aggregate, and element i of the result is identical to Run of
+  // `shape` with its Eq value replaced by probes[i] (same rows, same order).
+  // Per partition this costs one reader (one pin pass over the column's
+  // pages) and one merged search_in dispatch over the sorted probe-vid set,
+  // instead of one full lookup per probe — the engine-side primitive behind
+  // the server's same-partition request batching. Probes may repeat and may
+  // be absent from the table (their answer is simply empty).
+  Result<std::vector<Answer>> RunBatch(const Query& shape,
+                                       const std::vector<Value>& probes,
+                                       ExecContext* ctx = nullptr);
+
+  // Named forms of common queries (the §6 workload templates).
+
   // SELECT <select_columns> FROM T WHERE <filter_column> = <value>
-  Result<QueryResult> SelectByValue(const std::string& filter_column,
-                                    const Value& value,
-                                    const std::vector<std::string>&
-                                        select_columns,
-                                    ExecContext* ctx = nullptr);
+  Result<QueryResult> SelectByValue(
+      const std::string& filter_column, const Value& value,
+      const std::vector<std::string>& select_columns,
+      ExecContext* ctx = nullptr) {
+    return Pick(Run({.where = Only(Predicate::Eq(filter_column, value)),
+                     .select = select_columns},
+                    ctx),
+                &Answer::result);
+  }
 
   // SELECT COUNT(*) FROM T WHERE <filter_column> = <value>
   Result<uint64_t> CountByValue(const std::string& filter_column,
                                 const Value& value,
-                                ExecContext* ctx = nullptr);
-
-  // --- batched point lookups (S25) ----------------------------------------
-  //
-  // Evaluates many `filter_column = probe` lookups in one pass. Per
-  // partition this costs one reader (one pin pass over the column's pages)
-  // and one merged search_in kernel dispatch over the sorted probe-vid set,
-  // instead of one full lookup per probe — the engine-side primitive behind
-  // the server's same-partition request batching. Element i of the result
-  // is identical to SelectByValue(filter_column, probes[i], select_columns)
-  // (same rows, same order); probes may repeat and may be absent from the
-  // table (their slot is simply empty).
-
-  Result<std::vector<QueryResult>> MultiSelectByValue(
-      const std::string& filter_column, const std::vector<Value>& probes,
-      const std::vector<std::string>& select_columns,
-      ExecContext* ctx = nullptr);
-
-  // COUNT(*) sibling: element i equals CountByValue(filter_column,
-  // probes[i]).
-  Result<std::vector<uint64_t>> MultiCountByValue(
-      const std::string& filter_column, const std::vector<Value>& probes,
-      ExecContext* ctx = nullptr);
-
-  // SELECT ROWID() FROM T WHERE <filter_column> = <value>
-  Result<std::vector<RowId>> RowIdsByValue(const std::string& filter_column,
-                                           const Value& value,
-                                           ExecContext* ctx = nullptr);
+                                ExecContext* ctx = nullptr) {
+    return Pick(Run({.where = Only(Predicate::Eq(filter_column, value)),
+                     .aggregate = Aggregate::kCount},
+                    ctx),
+                &Answer::count);
+  }
 
   // SELECT <select_columns> FROM T WHERE lo <= <filter_column> <= hi
-  Result<QueryResult> SelectRange(const std::string& filter_column,
-                                  const Value& lo, const Value& hi,
-                                  const std::vector<std::string>&
-                                      select_columns,
-                                  ExecContext* ctx = nullptr);
+  Result<QueryResult> SelectRange(
+      const std::string& filter_column, const Value& lo, const Value& hi,
+      const std::vector<std::string>& select_columns,
+      ExecContext* ctx = nullptr) {
+    return Pick(
+        Run({.where = Only(Predicate::Between(filter_column, lo, hi)),
+             .select = select_columns},
+            ctx),
+        &Answer::result);
+  }
 
-  // SELECT SUM(<sum_column>) FROM T WHERE lo <= <filter_column> <= hi.
-  // Summation is per-partition partials merged in partition order in both
-  // serial and parallel mode, keeping the floating-point result identical.
+  // SELECT SUM(<sum_column>) FROM T WHERE lo <= <filter_column> <= hi
   Result<double> SumRange(const std::string& filter_column, const Value& lo,
                           const Value& hi, const std::string& sum_column,
-                          ExecContext* ctx = nullptr);
-
-  // SELECT <select_columns> FROM T WHERE <filter_column> IN (<values>)
-  Result<QueryResult> SelectIn(const std::string& filter_column,
-                               const std::vector<Value>& values,
-                               const std::vector<std::string>&
-                                   select_columns,
-                               ExecContext* ctx = nullptr);
+                          ExecContext* ctx = nullptr) {
+    return Pick(
+        Run({.where = Only(Predicate::Between(filter_column, lo, hi)),
+             .aggregate = Aggregate::kSum,
+             .sum_column = sum_column},
+            ctx),
+        &Answer::sum);
+  }
 
   // SELECT COUNT(*) FROM T WHERE <filter_column> IN (<values>)
   Result<uint64_t> CountIn(const std::string& filter_column,
                            const std::vector<Value>& values,
-                           ExecContext* ctx = nullptr);
+                           ExecContext* ctx = nullptr) {
+    return Pick(Run({.where = Only(Predicate::In(filter_column, values)),
+                     .aggregate = Aggregate::kCount},
+                    ctx),
+                &Answer::count);
+  }
 
-  // SELECT <select_columns> FROM T WHERE <filter_column> LIKE '<prefix>%'
-  // (string columns only). The prefix predicate is translated to a vid
-  // range through the order-preserving dictionary.
-  Result<QueryResult> SelectPrefix(const std::string& filter_column,
-                                   const std::string& prefix,
-                                   const std::vector<std::string>&
-                                       select_columns,
-                                   ExecContext* ctx = nullptr);
-
+  // SELECT COUNT(*) FROM T WHERE <filter_column> LIKE '<prefix>%'
   Result<uint64_t> CountPrefix(const std::string& filter_column,
                                const std::string& prefix,
-                               ExecContext* ctx = nullptr);
-
-  // SELECT <select_columns> FROM T WHERE <p1> AND <p2> AND ...
-  Result<QueryResult> SelectWhere(const std::vector<Predicate>& conjuncts,
-                                  const std::vector<std::string>&
-                                      select_columns,
-                                  ExecContext* ctx = nullptr);
+                               ExecContext* ctx = nullptr) {
+    return Pick(
+        Run({.where = Only(Predicate::Prefix(filter_column, prefix)),
+             .aggregate = Aggregate::kCount},
+            ctx),
+        &Answer::count);
+  }
 
   // SELECT COUNT(*) FROM T WHERE <p1> AND <p2> AND ...
   Result<uint64_t> CountWhere(const std::vector<Predicate>& conjuncts,
-                              ExecContext* ctx = nullptr);
+                              ExecContext* ctx = nullptr) {
+    return Pick(Run({.where = conjuncts, .aggregate = Aggregate::kCount}, ctx),
+                &Answer::count);
+  }
 
   // --- memory control -------------------------------------------------------
   void UnloadAll();
@@ -259,66 +293,66 @@ class Table {
   std::vector<ColumnStats> CollectColumnStats() const;
 
  private:
-  // Finds matching rows of one partition. Invoked once per partition by the
-  // executor drivers — possibly concurrently, so implementations touch only
-  // the given partition, per-call readers, and the (atomic) ctx counters.
-  using PartitionMatcher =
-      std::function<Status(Partition*, ExecContext*, std::vector<RowPos>*)>;
+  // A one-conjunct WHERE clause, built without copying the predicate.
+  static std::vector<Predicate> Only(Predicate pred) {
+    std::vector<Predicate> where;
+    where.push_back(std::move(pred));
+    return where;
+  }
 
-  // The shared fan-out/merge drivers behind every query template. Each runs
-  // `matcher` on every partition via the executor (task i writes slot i of a
-  // partials vector) and merges the slots in partition-id order.
-  Result<QueryResult> ExecuteSelect(const PartitionMatcher& matcher,
-                                    const std::vector<int>& select_cols,
-                                    ExecContext* ctx);
-  Result<uint64_t> ExecuteCount(const PartitionMatcher& matcher,
-                                ExecContext* ctx);
-  Result<std::vector<RowId>> ExecuteRowIds(const PartitionMatcher& matcher,
-                                           ExecContext* ctx);
-  Result<double> ExecuteSum(const PartitionMatcher& matcher, int sum_col,
-                            ExecContext* ctx);
+  // The field of a successful answer a named query form returns.
+  template <typename T>
+  static Result<T> Pick(Result<Answer> answer, T Answer::*field) {
+    if (!answer.ok()) return answer.status();
+    return std::move((*answer).*field);
+  }
 
-  // Row positions in `part` whose `col` equals `value`, visible rows only.
-  Status FindMatches(Partition* part, int col, const Value& value,
+  // The per-partition steps of Run and RunBatch. The executor invokes them
+  // once per partition, possibly concurrently, so they touch only the given
+  // partition, per-call readers, and the (atomic) ctx counters. Every
+  // predicate has been validated and `col` is its column.
+
+  // Visible rows of `part` satisfying `pred` (the driving conjunct), main
+  // rows then delta rows, each in row order.
+  Status FindMatches(Partition* part, const Predicate& pred, int col,
                      ExecContext* ctx, std::vector<RowPos>* out);
-  // Multi-probe variant of FindMatches: one dictionary pass + one merged
-  // SearchVidSet over the union of probe vids. Appends the matched visible
-  // rows (main matches in row order, then delta matches in row order) to
-  // *rows and, aligned with it, the indices of the probes each row matched
-  // to *row_probes (a row matches every probe equal to its value, so
+  // Keeps the rows of `in` (ascending) that also satisfy `pred`.
+  Status NarrowByPredicate(Partition* part, const Predicate& pred, int col,
+                           const std::vector<RowPos>& in, ExecContext* ctx,
+                           std::vector<RowPos>* out);
+  // Visible rows satisfying every conjunct; cols[i] is where[i]'s column.
+  Status FindMatchesWhere(Partition* part, const std::vector<Predicate>& where,
+                          const std::vector<int>& cols, ExecContext* ctx,
+                          std::vector<RowPos>* out);
+  // Multi-probe FindMatches for an Eq column: one dictionary pass + one
+  // merged SearchVidSet over the union of probe vids. Appends the matched
+  // visible rows (main matches in row order, then delta matches in row
+  // order) to *rows and, aligned with it, the indices of the probes each row
+  // matched to *row_probes (a row matches every probe equal to its value, so
   // duplicate probes share rows).
   Status MultiFindMatches(Partition* part, int col,
                           const std::vector<Value>& probes, ExecContext* ctx,
                           std::vector<RowPos>* rows,
                           std::vector<std::vector<uint32_t>>* row_probes);
-  // Row positions in `part` whose `col` is within [lo, hi], visible only.
-  Status FindMatchesRange(Partition* part, int col, const Value& lo,
-                          const Value& hi, ExecContext* ctx,
-                          std::vector<RowPos>* out);
-  // Row positions in `part` whose `col` is in `values`, visible only.
-  Status FindMatchesIn(Partition* part, int col,
-                       const std::vector<Value>& values, ExecContext* ctx,
-                       std::vector<RowPos>* out);
-  // Row positions in `part` whose string `col` starts with `prefix`.
-  Status FindMatchesPrefix(Partition* part, int col, const std::string& prefix,
-                           ExecContext* ctx, std::vector<RowPos>* out);
-  // Dispatches one predicate to the matcher above (the "driving" conjunct).
-  Status FindByPredicate(Partition* part, const Predicate& pred,
-                         ExecContext* ctx, std::vector<RowPos>* out);
-  // Narrows candidate rows of `part` by an additional conjunct.
-  Status NarrowByPredicate(Partition* part, const Predicate& pred,
-                           const std::vector<RowPos>& in, ExecContext* ctx,
-                           std::vector<RowPos>* out);
-  // Row positions matching every conjunct, per partition.
-  Status FindMatchesWhere(Partition* part,
-                          const std::vector<Predicate>& conjuncts,
-                          ExecContext* ctx, std::vector<RowPos>* out);
-  // Materializes `select_columns` of the given rows of one partition.
+  // Materializes `select_cols` of the given rows of one partition.
   Status MaterializeRows(Partition* part, const std::vector<RowPos>& rows,
                          const std::vector<int>& select_cols, ExecContext* ctx,
                          QueryResult* result);
+  // Adds `sum_col` of the given rows of one partition to *sum.
+  Status SumRows(Partition* part, const std::vector<RowPos>& rows, int sum_col,
+                 ExecContext* ctx, double* sum);
   Result<std::vector<int>> ResolveColumns(
       const std::vector<std::string>& names) const;
+
+  // A validated query's column indices: where_cols[i] is where[i]'s column,
+  // select_cols the kRows projection, sum_col the kSum column.
+  struct Plan {
+    std::vector<int> where_cols;
+    std::vector<int> select_cols;
+    int sum_col = -1;
+  };
+  // Validate's checks, returning the resolved columns.
+  Result<Plan> Resolve(const Query& query) const;
 
   TableSchema schema_;
   StorageManager* storage_;

@@ -244,7 +244,12 @@ TEST(ResourceManagerTest, BackgroundSweeperRunsAsynchronously) {
   for (int i = 0; i < 100 && rm.pool_bytes(PoolId::kPagedPool) > 100; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_LE(rm.pool_bytes(PoolId::kPagedPool), 100u);
+  // The sweeper drops the pool bytes under its lock before it runs the
+  // eviction callbacks; SweepNow waits until it is out of them. The bytes
+  // are read first, so it is the background thread that must have swept.
+  const uint64_t swept_bytes = rm.pool_bytes(PoolId::kPagedPool);
+  rm.SweepNow();
+  EXPECT_LE(swept_bytes, 100u);
   EXPECT_GE(evicted.load(), 9);
 }
 

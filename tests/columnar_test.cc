@@ -153,7 +153,9 @@ TEST(DeltaFragmentTest, FindRowsAndRangeScan) {
   delta.FindRows(Value(int64_t{99}), &rows);
   EXPECT_TRUE(rows.empty());
   rows.clear();
-  delta.FindRowsInRange(Value(int64_t{6}), Value(int64_t{12}), &rows);
+  delta.FindRowsMatching(
+      [](const Value& v) { return v.AsInt64() >= 6 && v.AsInt64() <= 12; },
+      &rows);
   EXPECT_EQ(rows, (std::vector<RowPos>{1, 3, 4}));
 }
 

@@ -189,8 +189,9 @@ TEST_F(ExecTest, ParallelMatchesSerialOnEveryTemplate) {
   ExpectSerialParallelEqual(t, "CountByValue", [t] {
     return t->CountByValue("status", Value(std::string("S1")));
   });
-  ExpectSerialParallelEqual(t, "RowIdsByValue", [t] {
-    return t->RowIdsByValue("status", Value(std::string("S2")));
+  ExpectSerialParallelEqual(t, "RowIds(status)", [t] {
+    return t->Run({.where = {Predicate::Eq("status", Value(std::string("S2")))},
+                   .aggregate = Aggregate::kRowIds});
   });
   ExpectSerialParallelEqual(t, "SelectRange", [t, &all_cols] {
     return t->SelectRange("aging_date", Value(int64_t{50}), Value(int64_t{250}),
@@ -200,28 +201,29 @@ TEST_F(ExecTest, ParallelMatchesSerialOnEveryTemplate) {
     return t->SumRange("aging_date", Value(int64_t{10}), Value(int64_t{290}),
                        "amount");
   });
-  ExpectSerialParallelEqual(t, "SelectIn", [t, &all_cols] {
-    return t->SelectIn(
-        "id",
-        {OrderRow(7, 0, "", 0)[0], OrderRow(107, 0, "", 0)[0],
-         OrderRow(207, 0, "", 0)[0]},
-        all_cols);
+  ExpectSerialParallelEqual(t, "Select(id IN)", [t, &all_cols] {
+    return t->Run({.where = {Predicate::In(
+                       "id", {OrderRow(7, 0, "", 0)[0],
+                              OrderRow(107, 0, "", 0)[0],
+                              OrderRow(207, 0, "", 0)[0]})},
+                   .select = all_cols});
   });
   ExpectSerialParallelEqual(t, "CountIn", [t] {
     return t->CountIn("status",
                       {Value(std::string("S0")), Value(std::string("S4"))});
   });
-  ExpectSerialParallelEqual(t, "SelectPrefix", [t, &all_cols] {
-    return t->SelectPrefix("id", "ORD000001", all_cols);
+  ExpectSerialParallelEqual(t, "Select(id LIKE)", [t, &all_cols] {
+    return t->Run({.where = {Predicate::Prefix("id", "ORD000001")},
+                   .select = all_cols});
   });
   ExpectSerialParallelEqual(t, "CountPrefix",
                             [t] { return t->CountPrefix("id", "ORD0000"); });
-  ExpectSerialParallelEqual(t, "SelectWhere", [t, &all_cols] {
-    return t->SelectWhere(
-        {Predicate::Eq("status", Value(std::string("S3"))),
-         Predicate::Between("aging_date", Value(int64_t{20}),
-                            Value(int64_t{280}))},
-        all_cols);
+  ExpectSerialParallelEqual(t, "Select(where)", [t, &all_cols] {
+    return t->Run({.where = {Predicate::Eq("status", Value(std::string("S3"))),
+                             Predicate::Between("aging_date",
+                                                Value(int64_t{20}),
+                                                Value(int64_t{280}))},
+                   .select = all_cols});
   });
   ExpectSerialParallelEqual(t, "CountWhere", [t] {
     return t->CountWhere({Predicate::Between("aging_date", Value(int64_t{0}),
@@ -235,10 +237,12 @@ TEST_F(ExecTest, RowIdsIdentifyPartitionsInBothModes) {
   for (uint32_t workers : {0u, 4u}) {
     table->set_exec_options(ExecOptions{workers});
     // Date 150 lives in cold partition 2 (second aging wave).
-    auto ids = table->RowIdsByValue("aging_date", Value(int64_t{150}));
+    auto ids = table->Run(
+        {.where = {Predicate::Eq("aging_date", Value(int64_t{150}))},
+         .aggregate = Aggregate::kRowIds});
     ASSERT_TRUE(ids.ok());
-    ASSERT_EQ(ids->size(), 1u) << "workers=" << workers;
-    EXPECT_EQ((*ids)[0].partition, 2u) << "workers=" << workers;
+    ASSERT_EQ(ids->row_ids.size(), 1u) << "workers=" << workers;
+    EXPECT_EQ(ids->row_ids[0].partition, 2u) << "workers=" << workers;
   }
 }
 
@@ -296,13 +300,13 @@ TEST_F(ExecTest, SelectWhereCountersPopulated) {
     table->set_exec_options(ExecOptions{workers});
     table->UnloadAll();
     ExecContext ctx;
-    auto rows = table->SelectWhere(
-        {Predicate::Eq("status", Value(std::string("S2"))),
-         Predicate::Between("aging_date", Value(int64_t{0}),
-                            Value(int64_t{299}))},
-        {}, &ctx);
+    auto rows = table->Run(
+        {.where = {Predicate::Eq("status", Value(std::string("S2"))),
+                   Predicate::Between("aging_date", Value(int64_t{0}),
+                                      Value(int64_t{299}))}},
+        &ctx);
     ASSERT_TRUE(rows.ok());
-    EXPECT_EQ(rows->rows.size(), 60u);
+    EXPECT_EQ(rows->result.rows.size(), 60u);
     auto s = ctx.stats.snapshot();
     EXPECT_EQ(s.partitions_visited, 3u) << "workers=" << workers;
     EXPECT_GT(s.pages_pinned, 0u) << "workers=" << workers;

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -172,8 +173,12 @@ class ServerTest : public ::testing::Test {
   // Runs a full-scan SumRange; with latency and unloaded pages this holds
   // one worker for (pages × latency) — the "slow query" of the shed tests.
   void RunSlowQuery(Client* client) {
-    auto sum = client->SumRange("T", "k", Value(int64_t{0}),
-                                Value(static_cast<int64_t>(kKeySpace)), "v");
+    auto sum = client->Call({.op = wire::Op::kSumRange,
+                             .table = "T",
+                             .column = "k",
+                             .sum_column = "v",
+                             .lo = Value(int64_t{0}),
+                             .hi = Value(static_cast<int64_t>(kKeySpace))});
     EXPECT_TRUE(sum.ok()) << sum.status().ToString();
   }
 
@@ -182,6 +187,8 @@ class ServerTest : public ::testing::Test {
   std::unique_ptr<Server> server_;
 };
 
+// Every query opcode, sent through the client, answers exactly what
+// Table::Run answers for the query the opcode stands for.
 TEST_F(ServerTest, ServesEveryQueryShape) {
   OpenStore(/*latency_us=*/0);
   StartServer(ServerOptions{});
@@ -189,65 +196,65 @@ TEST_F(ServerTest, ServesEveryQueryShape) {
   ASSERT_TRUE(client->Ping().ok());
 
   Table* table = *store_->GetTable("T");
+  using wire::Op;
   const Value k7(int64_t{7});
-
-  auto select = client->SelectByValue("T", "k", k7, {"v"});
-  ASSERT_TRUE(select.ok()) << select.status().ToString();
-  EXPECT_EQ(*select, *table->SelectByValue("k", k7, {"v"}));
-  EXPECT_GT(select->rows.size(), 0u);
-  EXPECT_GT(client->last_query_id(), 0u);
-
-  auto count = client->CountByValue("T", "k", k7);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, *table->CountByValue("k", k7));
-  EXPECT_EQ(*count, select->rows.size());
-
-  auto row_ids = client->RowIdsByValue("T", "k", k7);
-  ASSERT_TRUE(row_ids.ok());
-  EXPECT_EQ(*row_ids, *table->RowIdsByValue("k", k7));
-
-  auto range = client->SelectRange("T", "k", Value(int64_t{3}),
-                                   Value(int64_t{5}), {"v"});
-  ASSERT_TRUE(range.ok());
-  EXPECT_EQ(*range, *table->SelectRange("k", Value(int64_t{3}),
-                                        Value(int64_t{5}), {"v"}));
-
-  auto sum = client->SumRange("T", "k", Value(int64_t{0}),
-                              Value(int64_t{10}), "v");
-  ASSERT_TRUE(sum.ok());
-  EXPECT_DOUBLE_EQ(*sum, *table->SumRange("k", Value(int64_t{0}),
-                                          Value(int64_t{10}), "v"));
-
+  const Value lo(int64_t{3}), hi(int64_t{5});
   const std::vector<Value> in = {Value(int64_t{1}), Value(int64_t{9})};
-  auto select_in = client->SelectIn("T", "k", in, {"v"});
-  ASSERT_TRUE(select_in.ok());
-  EXPECT_EQ(*select_in, *table->SelectIn("k", in, {"v"}));
-
-  auto count_in = client->CountIn("T", "k", in);
-  ASSERT_TRUE(count_in.ok());
-  EXPECT_EQ(*count_in, *table->CountIn("k", in));
-  EXPECT_EQ(*count_in, select_in->rows.size());
-
-  auto prefix = client->SelectPrefix("T", "tag", "K00000", {"k"});
-  ASSERT_TRUE(prefix.ok());
-  EXPECT_EQ(*prefix, *table->SelectPrefix("tag", "K00000", {"k"}));
-
-  auto count_prefix = client->CountPrefix("T", "tag", "K00000");
-  ASSERT_TRUE(count_prefix.ok());
-  EXPECT_EQ(*count_prefix, *table->CountPrefix("tag", "K00000"));
-  EXPECT_GT(*count_prefix, 0u);  // keys K000000..K000009 all occur
-
   const std::vector<Predicate> where = {
       Predicate::Between("k", Value(int64_t{0}), Value(int64_t{3})),
       Predicate::Prefix("tag", "K000")};
-  auto select_where = client->SelectWhere("T", where, {"v"});
-  ASSERT_TRUE(select_where.ok());
-  EXPECT_EQ(*select_where, *table->SelectWhere(where, {"v"}));
-
-  auto count_where = client->CountWhere("T", where);
-  ASSERT_TRUE(count_where.ok());
-  EXPECT_EQ(*count_where, *table->CountWhere(where));
-  EXPECT_EQ(*count_where, select_where->rows.size());
+  const std::vector<wire::Request> requests = {
+      {.op = Op::kSelectByValue, .table = "T", .column = "k", .value = k7,
+       .select_columns = {"v"}},
+      {.op = Op::kCountByValue, .table = "T", .column = "k", .value = k7},
+      {.op = Op::kRowIdsByValue, .table = "T", .column = "k", .value = k7},
+      {.op = Op::kSelectRange, .table = "T", .column = "k", .lo = lo,
+       .hi = hi, .select_columns = {"v"}},
+      {.op = Op::kSumRange, .table = "T", .column = "k", .sum_column = "v",
+       .lo = lo, .hi = hi},
+      {.op = Op::kSelectIn, .table = "T", .column = "k", .values = in,
+       .select_columns = {"v"}},
+      {.op = Op::kCountIn, .table = "T", .column = "k", .values = in},
+      {.op = Op::kSelectPrefix, .table = "T", .column = "tag",
+       .prefix = "K00000", .select_columns = {"k"}},
+      {.op = Op::kCountPrefix, .table = "T", .column = "tag",
+       .prefix = "K00000"},
+      {.op = Op::kSelectWhere, .table = "T", .predicates = where,
+       .select_columns = {"v"}},
+      {.op = Op::kCountWhere, .table = "T", .predicates = where},
+  };
+  std::set<Op> covered;
+  for (const wire::Request& req : requests) {
+    SCOPED_TRACE("op " + std::to_string(static_cast<int>(req.op)));
+    covered.insert(req.op);
+    auto got = client->Call(req);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_GT(client->last_query_id(), 0u);
+    auto want = table->Run(wire::ToQuery(req));
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(static_cast<const Answer&>(*got), *want);
+    // Every request matches some rows, so an empty answer is a wrong one.
+    switch (*wire::AggregateOf(req.op)) {
+      case Aggregate::kRows:
+        EXPECT_GT(got->result.rows.size(), 0u);
+        break;
+      case Aggregate::kCount:
+        EXPECT_GT(got->count, 0u);
+        break;
+      case Aggregate::kRowIds:
+        EXPECT_GT(got->row_ids.size(), 0u);
+        break;
+      case Aggregate::kSum:
+        EXPECT_GT(got->sum, 0);
+        break;
+    }
+  }
+  // Opcodes 1..11 are the query opcodes; each one is exercised above.
+  for (int op = 1; op <= 11; ++op) {
+    EXPECT_EQ(covered.count(static_cast<Op>(op)), 1u) << "op " << op;
+  }
+  EXPECT_FALSE(wire::AggregateOf(Op::kPing).has_value());
+  EXPECT_FALSE(wire::AggregateOf(Op::kDumpStats).has_value());
 }
 
 TEST_F(ServerTest, RejectsBadRequestsWithoutDroppingTheSession) {
@@ -262,9 +269,20 @@ TEST_F(ServerTest, RejectsBadRequestsWithoutDroppingTheSession) {
   EXPECT_EQ(r2.status().code(), StatusCode::kNotFound);
   auto r3 = client->CountByValue("T", "k", Value(std::string("seven")));
   EXPECT_EQ(r3.status().code(), StatusCode::kInvalidArgument);
-  auto r4 = client->SumRange("T", "k", Value(int64_t{0}), Value(int64_t{1}),
-                             "tag");  // SUM over a string column
-  EXPECT_FALSE(r4.ok());
+  auto r4 = client->Call({.op = wire::Op::kSumRange,
+                          .table = "T",
+                          .column = "k",
+                          .sum_column = "tag",  // SUM over a string column
+                          .lo = Value(int64_t{0}),
+                          .hi = Value(int64_t{1})});
+  EXPECT_EQ(r4.status().code(), StatusCode::kInvalidArgument);
+  // A mistyped operand inside a conjunct list is caught the same way.
+  auto r5 = client->Call(
+      {.op = wire::Op::kCountWhere,
+       .table = "T",
+       .predicates = {Predicate::Between("k", Value(int64_t{0}),
+                                         Value(std::string("9")))}});
+  EXPECT_EQ(r5.status().code(), StatusCode::kInvalidArgument);
 
   // A malformed frame gets kBadRequest and the connection survives.
   int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);

@@ -177,10 +177,89 @@ TEST_F(TableTest, RangeQuerySpansMainAndDelta) {
 TEST_F(TableTest, RowIdsByValue) {
   auto table = MakeOrders(false, 20);
   ASSERT_TRUE(table->MergeAll().ok());
-  auto ids = table->RowIdsByValue("id", OrderRow(7, 0, "", 0)[0]);
+  auto ids = table->Run(
+      {.where = {Predicate::Eq("id", OrderRow(7, 0, "", 0)[0])},
+       .aggregate = Aggregate::kRowIds});
   ASSERT_TRUE(ids.ok());
-  ASSERT_EQ(ids->size(), 1u);
-  EXPECT_EQ((*ids)[0].partition, 0u);
+  ASSERT_EQ(ids->row_ids.size(), 1u);
+  EXPECT_EQ(ids->row_ids[0].partition, 0u);
+  EXPECT_EQ(ids->row_ids[0].row, 7u);
+}
+
+// Operands are checked against the schema before any typed compare: a
+// mistyped Eq/Between/IN operand or a prefix on a numeric column is an
+// InvalidArgument through Run and through the named forms, over merged
+// mains and delta rows alike.
+TEST_F(TableTest, MistypedOperandsAreInvalidArgument) {
+  auto table = MakeOrders(true, 50);
+  ASSERT_TRUE(table->MergeAll().ok());
+  for (int i = 50; i < 60; ++i) {
+    ASSERT_TRUE(table->Insert(OrderRow(i, i, "S0", i)).ok());
+  }
+  const Value text(std::string("x"));
+  const Value number(int64_t{3});
+  const std::vector<Predicate> bad = {
+      Predicate::Eq("aging_date", text),
+      Predicate::Between("aging_date", number, text),
+      Predicate::In("status", {Value(std::string("S1")), number}),
+      Predicate::Prefix("amount", "1")};
+  for (const Predicate& pred : bad) {
+    for (Aggregate aggregate : {Aggregate::kRows, Aggregate::kCount,
+                                Aggregate::kRowIds}) {
+      auto r = table->Run({.where = {pred}, .aggregate = aggregate});
+      ASSERT_FALSE(r.ok()) << pred.column;
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+          << pred.column;
+    }
+    // As a narrowing conjunct too.
+    auto narrowed = table->Run(
+        {.where = {Predicate::Between("aging_date", number, Value(int64_t{40})),
+                   pred},
+         .aggregate = Aggregate::kCount});
+    EXPECT_EQ(narrowed.status().code(), StatusCode::kInvalidArgument)
+        << pred.column;
+    EXPECT_EQ(table->CountWhere({pred}).status().code(),
+              StatusCode::kInvalidArgument)
+        << pred.column;
+  }
+  EXPECT_EQ(table->CountByValue("aging_date", text).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table->SelectByValue("amount", text, {}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table->SelectRange("aging_date", text, number, {}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      table->SumRange("aging_date", number, Value(2.5), "amount")
+          .status()
+          .code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(table->CountIn("aging_date", {number, text}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table->CountPrefix("amount", "1").status().code(),
+            StatusCode::kInvalidArgument);
+  // Aging compares the temperature column against the threshold.
+  ASSERT_TRUE(table->AddColdPartition().ok());
+  EXPECT_EQ(table->AgeRows(text).status().code(),
+            StatusCode::kInvalidArgument);
+  // The shape errors: no conjunct, unknown columns, SUM over a string.
+  EXPECT_EQ(table->Run({}).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(table->Run({.where = {Predicate::Eq("nope", number)}})
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(table->Run({.where = {Predicate::Eq("amount", number)},
+                        .select = {"nope"}})
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(table->SumRange("aging_date", number, number, "status")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Well-typed queries still run.
+  auto ok = table->CountByValue("amount", Value(int64_t{4900}));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(*ok, 1u);
 }
 
 TEST_F(TableTest, AgingMovesRowsToColdPartition) {
@@ -501,12 +580,12 @@ TEST_F(TableTest, BulkLoadMatchesInsertPath) {
   EXPECT_EQ(rows->rows[0][0].AsInt64(), (42 % 10) * 5);
 }
 
-// S25 multi-probe path: element i of Multi{Select,Count}ByValue must equal
-// the i-th individual lookup, over a table with a paged main, a cold
-// partition and live delta rows. The CI codec matrix re-runs this test
-// with PAYG_FORCE_CODEC=plain/for/rle, which is what proves equivalence on
-// all three codecs (the knob is parsed once per process).
-TEST_F(TableTest, MultiSelectByValueMatchesIndividualLookups) {
+// S25 multi-probe path: element i of RunBatch must equal Run with the i-th
+// probe, for the rows and the count aggregate, over a table with a paged
+// main, a cold partition and live delta rows. The CI codec matrix re-runs
+// this test with PAYG_FORCE_CODEC=plain/for/rle, which is what proves
+// equivalence on all three codecs (the knob is parsed once per process).
+TEST_F(TableTest, RunBatchMatchesIndividualRuns) {
   auto table = MakeOrders(true, 300);
   ASSERT_TRUE(table->MergeAll().ok());
   ASSERT_TRUE(table->AddColdPartition().ok());
@@ -524,22 +603,19 @@ TEST_F(TableTest, MultiSelectByValueMatchesIndividualLookups) {
   for (const char* s : {"S3", "S0", "S3", "S9", "S4", "S1", "S0"}) {
     probes.emplace_back(std::string(s));
   }
-  auto multi = table->MultiSelectByValue("status", probes, {"id", "amount"});
-  ASSERT_TRUE(multi.ok()) << multi.status().ToString();
-  ASSERT_EQ(multi->size(), probes.size());
-  for (size_t i = 0; i < probes.size(); ++i) {
-    auto single = table->SelectByValue("status", probes[i], {"id", "amount"});
-    ASSERT_TRUE(single.ok()) << single.status().ToString();
-    EXPECT_EQ((*multi)[i], *single) << "probe " << i;
-  }
-
-  auto counts = table->MultiCountByValue("status", probes);
-  ASSERT_TRUE(counts.ok()) << counts.status().ToString();
-  ASSERT_EQ(counts->size(), probes.size());
-  for (size_t i = 0; i < probes.size(); ++i) {
-    auto single = table->CountByValue("status", probes[i]);
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ((*counts)[i], *single) << "probe " << i;
+  for (Aggregate aggregate : {Aggregate::kRows, Aggregate::kCount}) {
+    Query shape{.where = {Predicate::Eq("status", Value())},
+                .select = {"id", "amount"},
+                .aggregate = aggregate};
+    auto batch = table->RunBatch(shape, probes);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch->size(), probes.size());
+    for (size_t i = 0; i < probes.size(); ++i) {
+      shape.where[0].value = probes[i];
+      auto single = table->Run(shape);
+      ASSERT_TRUE(single.ok()) << single.status().ToString();
+      EXPECT_EQ((*batch)[i], *single) << "probe " << i;
+    }
   }
 
   // The unique indexed column works through the same path.
@@ -547,22 +623,40 @@ TEST_F(TableTest, MultiSelectByValueMatchesIndividualLookups) {
                                   OrderRow(310, 0, "", 0)[0],
                                   OrderRow(7, 0, "", 0)[0],
                                   Value(std::string("ORD99999999"))};
-  auto by_id = table->MultiSelectByValue("id", id_probes, {"amount"});
+  auto by_id = table->RunBatch(
+      {.where = {Predicate::Eq("id", Value())}, .select = {"amount"}},
+      id_probes);
   ASSERT_TRUE(by_id.ok()) << by_id.status().ToString();
-  ASSERT_EQ((*by_id)[0].rows.size(), 1u);
-  EXPECT_EQ((*by_id)[0].rows[0][0].AsInt64(), 700);
-  ASSERT_EQ((*by_id)[1].rows.size(), 1u);
-  EXPECT_EQ((*by_id)[1].rows[0][0].AsInt64(), 31000);
+  ASSERT_EQ((*by_id)[0].result.rows.size(), 1u);
+  EXPECT_EQ((*by_id)[0].result.rows[0][0].AsInt64(), 700);
+  ASSERT_EQ((*by_id)[1].result.rows.size(), 1u);
+  EXPECT_EQ((*by_id)[1].result.rows[0][0].AsInt64(), 31000);
   EXPECT_EQ((*by_id)[2], (*by_id)[0]);
-  EXPECT_TRUE((*by_id)[3].rows.empty());
+  EXPECT_TRUE((*by_id)[3].result.rows.empty());
 
+  const Query count_status{.where = {Predicate::Eq("status", Value())},
+                           .aggregate = Aggregate::kCount};
   // A mistyped probe is rejected at the API boundary, not asserted deeper.
-  auto bad = table->MultiCountByValue("status", {Value(int64_t{3})});
+  auto bad = table->RunBatch(count_status, {Value(int64_t{3})});
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  // So are shapes that are not one Eq conjunct with rows or count.
+  EXPECT_EQ(table->RunBatch({.where = {Predicate::Prefix("status", "S")},
+                             .aggregate = Aggregate::kCount},
+                            probes)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table->RunBatch({.where = {Predicate::Eq("amount", Value())},
+                             .aggregate = Aggregate::kSum,
+                             .sum_column = "amount"},
+                            {Value(int64_t{100})})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 
   // Empty probe set is a no-op, not an error.
-  auto empty = table->MultiCountByValue("status", {});
+  auto empty = table->RunBatch(count_status, {});
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
 }
